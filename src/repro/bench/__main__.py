@@ -41,6 +41,7 @@ from repro.bench.fig6 import format_fig6, run_fig6
 from repro.bench.matrix import (
     compare_matrix_reports,
     format_matrix_compare,
+    MATRIX_EXECUTORS,
     MATRIX_SEARCHES,
     format_matrix,
     parse_spec_arg,
@@ -76,9 +77,8 @@ def _add_backend(parser: argparse.ArgumentParser) -> None:
         "--backend", default=None,
         help="array backend executing the reservoir/DPRR sweeps: 'numpy', "
              "'torch', 'torch:cuda:0', 'cupy'. Default: the REPRO_BACKEND "
-             "environment variable, else numpy. The vectorized candidate "
-             "executor (REPRO_EXECUTOR=vectorized) composes with any of "
-             "them",
+             "environment variable, else numpy. Candidate-axis fusion "
+             "(REPRO_CANDIDATE_BLOCK_SIZE) composes with any of them",
     )
 
 
@@ -225,8 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backends", nargs="+", default=[None], metavar="BACKEND",
                    help="array backends to cross (default: numpy)")
     p.add_argument("--executors", nargs="+", default=["serial"],
-                   choices=("serial", "vectorized", "multiprocess",
-                            "multiprocess+vectorized"),
+                   choices=tuple(MATRIX_EXECUTORS),
                    help="candidate executors to cross (scores are "
                         "executor-invariant on numpy; timing moves)")
     p.add_argument("--searches", nargs="+", default=["random"],

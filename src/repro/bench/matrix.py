@@ -52,11 +52,13 @@ from repro.data.registry import (
     make_spec,
     spec_for_dataset,
 )
+from repro.exec import DEFAULT_CANDIDATE_BLOCK_SIZE, make_executor
 
 __all__ = [
     "MATRIX_FORMAT",
     "MATRIX_FORMAT_VERSION",
     "MATRIX_SEARCHES",
+    "MATRIX_EXECUTORS",
     "MatrixCell",
     "parse_spec_arg",
     "run_matrix",
@@ -71,6 +73,16 @@ MATRIX_FORMAT_VERSION = 1
 #: parameter searches a cell can run; all share the evaluation protocol
 #: (holdout beta selection, then a test score) so their columns compare
 MATRIX_SEARCHES = ("grid", "random", "anneal", "descent")
+
+#: executor label -> ``(workers, block)`` of the :class:`~repro.exec.Executor`
+#: a cell runs under; the labels are the report's cell keys, so
+#: ``--compare`` against older reports still matches cells
+MATRIX_EXECUTORS = {
+    "serial": (1, 1),
+    "vectorized": (1, DEFAULT_CANDIDATE_BLOCK_SIZE),
+    "multiprocess": (2, 1),
+    "multiprocess+vectorized": (2, DEFAULT_CANDIDATE_BLOCK_SIZE),
+}
 
 
 def _parse_value(text: str):
@@ -185,43 +197,45 @@ def _run_cell(
     extractor = DFRFeatureExtractor(
         n_nodes, seed=seed, backend=backend
     ).fit(data.u_train)
-    common = dict(seed=seed, backend=backend, executor_kind=executor)
-    if search == "grid":
-        level = GridSearch(extractor, **common).run_level(
-            data.u_train, data.y_train, data.u_test, data.y_test,
-            divisions, n_classes=data.n_classes,
-        )
-        best = level.best
-        evaluations = level.evaluations
-        total_seconds = level.elapsed_seconds
-        compute_seconds = level.compute_seconds
-    else:
-        if search == "random":
-            outcome = RandomSearch(extractor, **common).search(
+    workers, block = MATRIX_EXECUTORS[executor]
+    with make_executor(workers, backend=backend, block=block) as runner:
+        common = dict(seed=seed, backend=backend, executor=runner)
+        if search == "grid":
+            level = GridSearch(extractor, **common).run_level(
                 data.u_train, data.y_train, data.u_test, data.y_test,
-                n_samples=budget, n_classes=data.n_classes,
+                divisions, n_classes=data.n_classes,
             )
-        elif search == "anneal":
-            outcome = SimulatedAnnealing(extractor, **common).search(
-                data.u_train, data.y_train, data.u_test, data.y_test,
-                n_steps=budget, n_classes=data.n_classes,
-            )
-        elif search == "descent":
-            outcome = PopulationDescent(
-                extractor,
-                trainer_config=TrainerConfig(epochs=epochs, batch_size=8),
-                **common,
-            ).search(
-                data.u_train, data.y_train, data.u_test, data.y_test,
-                population=budget, n_classes=data.n_classes,
-            )
+            best = level.best
+            evaluations = level.evaluations
+            total_seconds = level.elapsed_seconds
+            compute_seconds = level.compute_seconds
         else:
-            known = ", ".join(MATRIX_SEARCHES)
-            raise ValueError(f"unknown search {search!r}; known: {known}")
-        best = outcome.best
-        evaluations = outcome.evaluations
-        total_seconds = outcome.total_seconds
-        compute_seconds = outcome.compute_seconds
+            if search == "random":
+                outcome = RandomSearch(extractor, **common).search(
+                    data.u_train, data.y_train, data.u_test, data.y_test,
+                    n_samples=budget, n_classes=data.n_classes,
+                )
+            elif search == "anneal":
+                outcome = SimulatedAnnealing(extractor, **common).search(
+                    data.u_train, data.y_train, data.u_test, data.y_test,
+                    n_steps=budget, n_classes=data.n_classes,
+                )
+            elif search == "descent":
+                outcome = PopulationDescent(
+                    extractor,
+                    trainer_config=TrainerConfig(epochs=epochs, batch_size=8),
+                    **common,
+                ).search(
+                    data.u_train, data.y_train, data.u_test, data.y_test,
+                    population=budget, n_classes=data.n_classes,
+                )
+            else:
+                known = ", ".join(MATRIX_SEARCHES)
+                raise ValueError(f"unknown search {search!r}; known: {known}")
+            best = outcome.best
+            evaluations = outcome.evaluations
+            total_seconds = outcome.total_seconds
+            compute_seconds = outcome.compute_seconds
     if best is None:  # pragma: no cover - every candidate failed
         return MatrixCell(
             spec=spec_label, backend=backend or "numpy", executor=executor,
@@ -282,6 +296,10 @@ def run_matrix(
         if search not in MATRIX_SEARCHES:
             known = ", ".join(MATRIX_SEARCHES)
             raise ValueError(f"unknown search {search!r}; known: {known}")
+    for executor in executors:
+        if executor not in MATRIX_EXECUTORS:
+            known = ", ".join(MATRIX_EXECUTORS)
+            raise ValueError(f"unknown executor {executor!r}; known: {known}")
     cells: List[MatrixCell] = []
     for spec in specs:
         get_generator(spec.name)  # fail fast on an unknown generator

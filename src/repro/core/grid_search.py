@@ -138,21 +138,15 @@ class GridSearch:
         and parallel runs are bit-identical.
     backend:
         Array-backend spec for candidate evaluation (e.g. ``"torch"``,
-        ``"cupy"``); routes the sweep through a
-        :class:`~repro.exec.BackendExecutor` (or stamps the spec onto the
-        worker contexts when combined with ``workers``).
-    executor_kind:
-        Force an executor kind (``"serial"``, ``"vectorized"``,
-        ``"multiprocess"``); ``None`` defers to the ``REPRO_EXECUTOR``
-        environment variable, then to the ``workers``/``backend``
-        resolution.  ``"vectorized"`` fuses each level's candidates into
-        stacked ``(K, N, ...)`` sweeps — bit-identical to serial on NumPy.
+        ``"cupy"``), stamped onto every submitted context (worker
+        contexts too when combined with ``workers``).
     candidate_block_size:
-        Candidates fused per sweep by a vectorized executor; ``None``
-        defers to ``REPRO_CANDIDATE_BLOCK_SIZE`` (default 16).
+        Candidates fused into one stacked ``(K, N, ...)`` sweep —
+        bit-identical to serial on NumPy; ``None`` defers to
+        ``REPRO_CANDIDATE_BLOCK_SIZE``, else 1 (no fusion).
     executor:
         A pre-built :class:`~repro.exec.CandidateExecutor`; overrides
-        ``workers``/``backend``/``executor_kind`` when given.
+        ``workers``/``backend``/``candidate_block_size`` when given.
     """
 
     def __init__(
@@ -166,7 +160,6 @@ class GridSearch:
         feature_batch_size: Optional[int] = None,
         workers: Optional[int] = None,
         backend: Optional[str] = None,
-        executor_kind: Optional[str] = None,
         candidate_block_size: Optional[int] = None,
         executor: Optional[CandidateExecutor] = None,
         seed: SeedLike = None,
@@ -179,8 +172,7 @@ class GridSearch:
         self.feature_batch_size = feature_batch_size
         self.executor = (executor if executor is not None
                          else make_executor(workers, backend=backend,
-                                            kind=executor_kind,
-                                            candidate_block_size=candidate_block_size))
+                                            block=candidate_block_size))
         self._rng = ensure_rng(seed)
 
     def _make_context(self, u_train, y_train, u_test, y_test,
@@ -340,7 +332,6 @@ class RecursiveGridSearch:
         feature_batch_size: Optional[int] = None,
         workers: Optional[int] = None,
         backend: Optional[str] = None,
-        executor_kind: Optional[str] = None,
         candidate_block_size: Optional[int] = None,
         executor: Optional[CandidateExecutor] = None,
         seed: SeedLike = None,
@@ -359,7 +350,6 @@ class RecursiveGridSearch:
             feature_batch_size=feature_batch_size,
             workers=workers,
             backend=backend,
-            executor_kind=executor_kind,
             candidate_block_size=candidate_block_size,
             executor=executor,
             seed=seed,

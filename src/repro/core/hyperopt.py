@@ -107,7 +107,6 @@ class _BlackBoxSearch:
         feature_batch_size: Optional[int] = None,
         workers: Optional[int] = None,
         backend: Optional[str] = None,
-        executor_kind: Optional[str] = None,
         candidate_block_size: Optional[int] = None,
         executor: Optional[CandidateExecutor] = None,
         seed: SeedLike = None,
@@ -128,8 +127,7 @@ class _BlackBoxSearch:
         self.candidate_block_size = candidate_block_size
         self.executor = (executor if executor is not None
                          else make_executor(workers, backend=backend,
-                                            kind=executor_kind,
-                                            candidate_block_size=candidate_block_size))
+                                            block=candidate_block_size))
         self._rng = ensure_rng(seed)
 
     def _make_context(self, u_train, y_train, u_test, y_test, n_classes,

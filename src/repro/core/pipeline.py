@@ -690,7 +690,6 @@ class DFRClassifier:
         self.backend = backend
         self.dtype = dtype
         self._executor = None
-        self._executor_workers = None
         self.extractor = DFRFeatureExtractor(
             n_nodes,
             nonlinearity=nonlinearity,
@@ -879,24 +878,21 @@ class DFRClassifier:
         """The :class:`~repro.exec.CandidateExecutor` for this classifier.
 
         Serial for ``workers in (None-without-env, 0, 1)``, multiprocess
-        otherwise; pass it to :class:`~repro.core.grid_search.GridSearch`
-        and friends via their ``executor`` argument to share the knob.
-        The executor is cached on the classifier until ``workers`` changes;
-        its worker pool persists across submissions that reuse one
-        evaluation context (as the searches do).
+        otherwise, fused in ``REPRO_CANDIDATE_BLOCK_SIZE`` blocks when that
+        is set (:func:`~repro.exec.make_executor`); pass it to
+        :class:`~repro.core.grid_search.GridSearch` and friends via their
+        ``executor`` argument to share the knob.  The executor is cached on
+        the classifier until ``workers`` changes; its worker pool persists
+        across submissions that reuse one evaluation context (as the
+        searches do).
         """
         from repro.exec import make_executor, resolve_workers
 
         n = resolve_workers(self.workers)
-        # the cache keys on the *requested* worker count, not the built
-        # executor's own (a REPRO_EXECUTOR kind override may build an
-        # executor whose workers differ — e.g. vectorized is always 1 —
-        # and comparing against that would rebuild on every call)
-        if self._executor is None or self._executor_workers != n:
+        if self._executor is None or self._executor.workers != n:
             if self._executor is not None:
                 self._executor.close()
             self._executor = make_executor(n)
-            self._executor_workers = n
         return self._executor
 
     def evaluate_candidates(

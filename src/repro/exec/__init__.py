@@ -7,23 +7,21 @@ is the single seam those searches submit work through:
 
 * :class:`Candidate` / :class:`EvaluationContext` — a picklable description
   of one point and of everything needed to score it;
-* :class:`SerialExecutor` / :class:`MultiprocessExecutor` — in-process and
-  process-pool execution with identical (bit-for-bit) results;
-* :class:`BackendExecutor` — in-process, device-resident evaluation on a
-  :mod:`repro.backend` array backend (GPU-scale sweeps through the same
-  context/candidate protocol; ``backend="numpy"`` is bit-identical to
-  :class:`SerialExecutor`);
-* :class:`VectorizedExecutor` — candidate-axis fusion: blocks of K
-  candidates run as ONE stacked ``(K, N, ...)`` array program instead of K
-  dispatches, bit-identical to :class:`SerialExecutor` on NumPy and fully
-  device-resident on an accelerator backend;
+* :class:`Executor` — one executor over three independent axes:
+  ``workers`` (process-pool sharding under a supervision loop), ``block``
+  (candidate-axis fusion: K candidates as ONE stacked ``(K, N, ...)``
+  array program) and ``backend`` (a :mod:`repro.backend` spec stamped on
+  every context).  Every configuration is bit-identical on NumPy to the
+  plain serial loop (``workers=1, block=1``);
+* :class:`SerialExecutor` / :class:`BackendExecutor` /
+  :class:`VectorizedExecutor` / :class:`MultiprocessExecutor` —
+  constructor-only subclasses naming the common configurations;
 * :func:`derive_candidate_seed` — spawn-key seed splitting, so per-candidate
   randomness never depends on worker count or scheduling;
 * :func:`make_executor` / :func:`resolve_workers` — the ``workers`` /
-  ``REPRO_WORKERS`` knob (plus the ``backend`` spec, the ``REPRO_EXECUTOR``
-  kind override, and the ``candidate_block_size`` /
-  ``REPRO_CANDIDATE_BLOCK_SIZE`` fusion knob) shared by the classifier,
-  the searches, and the ``repro-bench`` CLI.
+  ``REPRO_WORKERS`` and ``candidate_block_size`` /
+  ``REPRO_CANDIDATE_BLOCK_SIZE`` knobs (plus the ``backend`` spec) shared
+  by the classifier, the searches, and the ``repro-bench`` CLI.
 
 See ``docs/ARCHITECTURE.md`` for how this seam relates to the
 :class:`~repro.backend.ArrayBackend` seam one layer below it.
@@ -41,22 +39,15 @@ from repro.exec.executors import (
     DEFAULT_CANDIDATE_BLOCK_SIZE,
     DEFAULT_MAX_RETRIES,
     DEFAULT_RETRY_BACKOFF_MS,
-    EXECUTOR_ENV_VAR,
-    MAX_RETRIES_ENV_VAR,
-    RETRY_BACKOFF_ENV_VAR,
-    TASK_TIMEOUT_ENV_VAR,
     WORKERS_ENV_VAR,
     BackendExecutor,
     CandidateExecutor,
+    Executor,
     MultiprocessExecutor,
     SerialExecutor,
     VectorizedExecutor,
     make_executor,
     resolve_candidate_block_size,
-    resolve_executor_kind,
-    resolve_max_retries,
-    resolve_retry_backoff_ms,
-    resolve_task_timeout_ms,
     resolve_workers,
 )
 from repro.exec.seeding import derive_candidate_seed, derive_candidate_seeds
@@ -68,25 +59,18 @@ __all__ = [
     "SubmissionReport",
     "evaluate_candidate",
     "CandidateExecutor",
+    "Executor",
     "SerialExecutor",
     "BackendExecutor",
     "MultiprocessExecutor",
     "VectorizedExecutor",
     "WORKERS_ENV_VAR",
-    "EXECUTOR_ENV_VAR",
     "BLOCK_SIZE_ENV_VAR",
-    "MAX_RETRIES_ENV_VAR",
-    "RETRY_BACKOFF_ENV_VAR",
-    "TASK_TIMEOUT_ENV_VAR",
     "DEFAULT_CANDIDATE_BLOCK_SIZE",
     "DEFAULT_MAX_RETRIES",
     "DEFAULT_RETRY_BACKOFF_MS",
     "make_executor",
-    "resolve_executor_kind",
     "resolve_candidate_block_size",
-    "resolve_max_retries",
-    "resolve_retry_backoff_ms",
-    "resolve_task_timeout_ms",
     "resolve_workers",
     "derive_candidate_seed",
     "derive_candidate_seeds",

@@ -1,52 +1,52 @@
-"""Pluggable candidate executors: serial, process-pool, backend, vectorized.
+"""Candidate execution: one :class:`Executor` over ``(workers, block, backend)``.
 
 Every ``(A, B)`` candidate of the baseline searches (grid, random,
-annealing) is an independent reservoir sweep, so there are three natural
-scaling axes: candidate-level parallelism across *processes*
-(:class:`MultiprocessExecutor`), device-resident evaluation on an
-accelerator *array backend* (:class:`BackendExecutor`, backed by
-:mod:`repro.backend`), and candidate-axis *vectorization*
-(:class:`VectorizedExecutor`), which packs a block of K candidates into
-one fused array program — the candidate axis stacked next to the sample
-axis — instead of K independent dispatches.
-:class:`CandidateExecutor` is the seam all search layers submit through,
-so the axes compose with the searches unchanged.
+annealing, descent endpoints) is an independent reservoir sweep, so there
+are three independent scaling axes, and :class:`Executor` takes one
+argument for each:
 
-Guarantees shared by all executors:
+* ``workers`` — candidate-level parallelism across worker *processes*;
+* ``block`` — candidate-axis *fusion*: a block of K candidates runs as one
+  stacked ``(K, N, ...)`` array program (the candidate axis next to the
+  sample axis) instead of K independent dispatches;
+* ``backend`` — an array-backend spec (:mod:`repro.backend`) stamped onto
+  every submitted context, e.g. device-resident sweeps on one accelerator.
+
+The axes compose: ``Executor(2, block=4)`` shards fused blocks of four
+candidates across two worker processes.  :class:`CandidateExecutor` is
+the seam all search layers submit through, so any configuration composes
+with the searches unchanged.
+
+Guarantees of every configuration:
 
 * **determinism** — results are returned in candidate order, and each
   candidate's evaluation depends only on the context and the candidate
   (explicit or spawn-key-derived seed), never on worker count, block size,
-  or schedule;
+  or schedule; on NumPy every configuration is bit-identical to the plain
+  serial loop (``workers=1, block=1``), which stays the reference oracle;
 * **fault isolation** — a candidate whose evaluation raises is returned as
   a failed :class:`~repro.exec.context.CandidateResult` instead of killing
-  the submission (row-wise inside a vectorized block);
+  the submission (row-wise inside a fused block);
 * **two timing views** — wall-clock of the whole submission plus summed
   per-candidate compute seconds, so realized speedup is measurable.
 
-The two axes also *stack*: ``executor_kind="multiprocess+vectorized"``
-shards candidates across worker processes whose workers each evaluate
-fused candidate-axis blocks — ``REPRO_WORKERS`` composing with
-``REPRO_CANDIDATE_BLOCK_SIZE``.
+:class:`SerialExecutor`, :class:`BackendExecutor`,
+:class:`VectorizedExecutor` and :class:`MultiprocessExecutor` are
+constructor-only subclasses that keep their historical signatures;
+:func:`make_executor` returns the one that names the resolved
+configuration.  It takes ``workers`` from its argument or
+``REPRO_WORKERS`` and ``block`` from its argument or
+``REPRO_CANDIDATE_BLOCK_SIZE``; absent both, execution is serial.
 
-Worker selection: an explicit ``workers`` argument wins; ``None`` falls
-back to the ``REPRO_WORKERS`` environment variable; absent both, execution
-is serial.  The ``REPRO_EXECUTOR`` variable force-selects an executor
-*kind* (``serial`` / ``vectorized`` / ``multiprocess`` /
-``multiprocess+vectorized``) the same way — this is how CI routes the
-whole test suite through the multiprocess, vectorized, and two-level
-paths — and ``REPRO_CANDIDATE_BLOCK_SIZE`` tunes the fused block size of
-the vectorized executor (standalone or inside workers).
-
-Supervision: :class:`MultiprocessExecutor` runs every submission under a
-supervision loop — per-dispatch heartbeat, optional per-task timeout
-(``REPRO_TASK_TIMEOUT_MS``), dead-worker detection with pool rebuild, and
-bounded retry with exponential backoff (``REPRO_MAX_RETRIES`` /
-``REPRO_RETRY_BACKOFF_MS``).  Lost or transiently failed work units are
-re-dispatched through the same per-candidate seed derivation, so a
-recovered run is bit-identical to a fault-free one on NumPy; a unit that
-keeps failing resolves to failed :class:`CandidateResult` records (the
-``failed()`` sentinel downstream) instead of sinking the search.
+Supervision: with ``workers > 1`` every submission runs under a
+supervision loop — optional per-task timeout (``task_timeout_ms``),
+dead-worker detection with pool rebuild, and bounded retry with
+exponential backoff (``max_retries`` / ``backoff_ms``).  Lost or
+transiently failed work units are re-dispatched through the same
+per-candidate seed derivation, so a recovered run is bit-identical to a
+fault-free one on NumPy; a unit that keeps failing resolves to failed
+:class:`CandidateResult` records (the ``failed()`` sentinel downstream)
+instead of sinking the search.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ import weakref
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.exec.context import (
     Candidate,
@@ -68,51 +68,30 @@ from repro.exec.context import (
     SubmissionReport,
     evaluate_candidate,
 )
-from repro.faults import FaultInjected
 from repro import faults
 
 __all__ = [
     "CandidateExecutor",
+    "Executor",
     "SerialExecutor",
     "BackendExecutor",
     "MultiprocessExecutor",
     "VectorizedExecutor",
     "WORKERS_ENV_VAR",
-    "EXECUTOR_ENV_VAR",
     "BLOCK_SIZE_ENV_VAR",
-    "MAX_RETRIES_ENV_VAR",
-    "RETRY_BACKOFF_ENV_VAR",
-    "TASK_TIMEOUT_ENV_VAR",
     "DEFAULT_CANDIDATE_BLOCK_SIZE",
     "DEFAULT_MAX_RETRIES",
     "DEFAULT_RETRY_BACKOFF_MS",
     "resolve_workers",
-    "resolve_executor_kind",
     "resolve_candidate_block_size",
-    "resolve_max_retries",
-    "resolve_retry_backoff_ms",
-    "resolve_task_timeout_ms",
     "make_executor",
 ]
 
 #: environment variable consulted when no explicit worker count is given
 WORKERS_ENV_VAR = "REPRO_WORKERS"
 
-#: environment variable force-selecting an executor kind for
-#: default-constructed searches ("serial", "vectorized", "multiprocess")
-EXECUTOR_ENV_VAR = "REPRO_EXECUTOR"
-
-#: environment variable tuning the vectorized executor's fused block size
+#: environment variable consulted when no explicit candidate block is given
 BLOCK_SIZE_ENV_VAR = "REPRO_CANDIDATE_BLOCK_SIZE"
-
-#: environment variable bounding re-dispatch attempts per work unit
-MAX_RETRIES_ENV_VAR = "REPRO_MAX_RETRIES"
-
-#: environment variable tuning the base retry backoff (milliseconds)
-RETRY_BACKOFF_ENV_VAR = "REPRO_RETRY_BACKOFF_MS"
-
-#: environment variable enabling a per-task timeout (milliseconds, 0 = off)
-TASK_TIMEOUT_ENV_VAR = "REPRO_TASK_TIMEOUT_MS"
 
 #: default bounded-retry budget per work unit before the failed() sentinel
 DEFAULT_MAX_RETRIES = 3
@@ -124,9 +103,6 @@ DEFAULT_RETRY_BACKOFF_MS = 10.0
 #: standardize/mask phase, small enough that a block's stacked trace
 #: (K x N x (T+1) x N_x doubles) stays comfortably in memory
 DEFAULT_CANDIDATE_BLOCK_SIZE = 16
-
-_EXECUTOR_KINDS = ("serial", "vectorized", "multiprocess",
-                   "multiprocess+vectorized")
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:
@@ -144,95 +120,30 @@ def resolve_workers(workers: Optional[int] = None) -> int:
     return max(1, int(workers))
 
 
-def resolve_executor_kind(kind: Optional[str] = None) -> Optional[str]:
-    """Resolve an executor-kind override (explicit wins over the env).
-
-    ``None`` consults ``REPRO_EXECUTOR``; unset/empty means no override
-    (the default ``workers``/``backend`` resolution applies).  Anything
-    other than ``serial``, ``vectorized`` or ``multiprocess`` raises.
-    """
-    if kind is None:
-        kind = os.environ.get(EXECUTOR_ENV_VAR, "").strip() or None
-        if kind is None:
-            return None
-    kind = str(kind).strip().lower()
-    # "vectorized+multiprocess" is accepted as the same composition
-    if kind == "vectorized+multiprocess":
-        kind = "multiprocess+vectorized"
-    if kind not in _EXECUTOR_KINDS:
-        raise ValueError(
-            f"executor kind must be one of {_EXECUTOR_KINDS}, got {kind!r}"
-        )
-    return kind
-
-
-def resolve_candidate_block_size(block_size: Optional[int] = None) -> int:
-    """Resolve the vectorized executor's fused block size (>= 1).
+def resolve_candidate_block_size(
+        block_size: Optional[int] = None,
+        default: int = DEFAULT_CANDIDATE_BLOCK_SIZE) -> int:
+    """Resolve a candidate block size (>= 1).
 
     Explicit ``block_size`` wins; ``None`` consults
-    ``REPRO_CANDIDATE_BLOCK_SIZE``; absent/invalid both, the default of
-    ``DEFAULT_CANDIDATE_BLOCK_SIZE`` applies.
+    ``REPRO_CANDIDATE_BLOCK_SIZE``; absent/invalid both, ``default``
+    applies (``DEFAULT_CANDIDATE_BLOCK_SIZE`` for fused training chunks,
+    1 — no fusion — for :func:`make_executor`).
     """
     if block_size is None:
         raw = os.environ.get(BLOCK_SIZE_ENV_VAR, "").strip()
         try:
-            block_size = int(raw) if raw else DEFAULT_CANDIDATE_BLOCK_SIZE
+            block_size = int(raw) if raw else default
         except ValueError:
-            block_size = DEFAULT_CANDIDATE_BLOCK_SIZE
+            block_size = default
         # env values are best-effort fleet-wide hints: anything invalid
         # (non-numeric or < 1) falls back to the default rather than
         # raising in every default-constructed search
-        return block_size if block_size >= 1 else DEFAULT_CANDIDATE_BLOCK_SIZE
+        return block_size if block_size >= 1 else default
     block_size = int(block_size)
     if block_size < 1:
         raise ValueError(f"candidate block size must be >= 1, got {block_size}")
     return block_size
-
-
-def _resolve_env_number(raw: str, default: float) -> float:
-    try:
-        value = float(raw) if raw.strip() else default
-    except ValueError:
-        return default
-    return value if value >= 0 else default
-
-
-def resolve_max_retries(max_retries: Optional[int] = None) -> int:
-    """Resolve the bounded-retry budget per work unit (>= 0).
-
-    Explicit ``max_retries`` wins; ``None`` consults ``REPRO_MAX_RETRIES``;
-    absent/invalid both, ``DEFAULT_MAX_RETRIES`` applies.  ``0`` disables
-    retries (a lost unit fails immediately).
-    """
-    if max_retries is None:
-        return int(_resolve_env_number(
-            os.environ.get(MAX_RETRIES_ENV_VAR, ""), DEFAULT_MAX_RETRIES))
-    max_retries = int(max_retries)
-    if max_retries < 0:
-        raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-    return max_retries
-
-
-def resolve_retry_backoff_ms(backoff_ms: Optional[float] = None) -> float:
-    """Resolve the base retry backoff in milliseconds (>= 0)."""
-    if backoff_ms is None:
-        return _resolve_env_number(
-            os.environ.get(RETRY_BACKOFF_ENV_VAR, ""), DEFAULT_RETRY_BACKOFF_MS)
-    backoff_ms = float(backoff_ms)
-    if not (backoff_ms >= 0):
-        raise ValueError(f"backoff_ms must be >= 0, got {backoff_ms}")
-    return backoff_ms
-
-
-def resolve_task_timeout_ms(timeout_ms: Optional[float] = None) -> float:
-    """Resolve the per-task timeout in milliseconds (0 disables it)."""
-    if timeout_ms is None:
-        return _resolve_env_number(
-            os.environ.get(TASK_TIMEOUT_ENV_VAR, ""), 0.0)
-    timeout_ms = float(timeout_ms)
-    if not (timeout_ms >= 0):
-        raise ValueError(f"timeout_ms must be >= 0, got {timeout_ms}")
-    return timeout_ms
 
 
 class CandidateExecutor:
@@ -242,7 +153,7 @@ class CandidateExecutor:
     in submission order, and must not propagate per-candidate exceptions.
     """
 
-    #: effective worker count (1 for serial executors)
+    #: effective worker count (1 for in-process executors)
     workers: int = 1
     #: array-backend spec stamped onto submitted contexts (None: untouched)
     backend_spec: Optional[str] = None
@@ -254,21 +165,6 @@ class CandidateExecutor:
     #: executors receive the whole speculative batch eagerly and the
     #: discarded tail is counted as real (wasted) evaluations.
     prefers_batch: bool = False
-
-    def _apply_backend(self, context: EvaluationContext) -> EvaluationContext:
-        """Stamp :attr:`backend_spec` onto ``context`` (cached per source).
-
-        The retargeted copy is cached by source-context identity so that
-        repeated submissions of one context — annealing rounds, the levels
-        of a recursive grid — keep hitting the same object (extractor reuse
-        in-process, pool reuse across processes).
-        """
-        if self.backend_spec is None or context.backend == self.backend_spec:
-            return context
-        if getattr(self, "_retarget_source", None) is not context:
-            self._retargeted = replace(context, backend=self.backend_spec)
-            self._retarget_source = context
-        return self._retargeted
 
     def run(self, context: EvaluationContext,
             candidates: Sequence[Candidate]) -> SubmissionReport:
@@ -302,264 +198,123 @@ def _close_live_executors() -> None:
             pass
 
 
-def _run_serially(context: EvaluationContext,
-                  candidates: Sequence[Candidate]) -> List[CandidateResult]:
-    return [evaluate_candidate(context, c) for c in candidates]
+def _evaluate_local(context: EvaluationContext,
+                    candidates: Sequence[Candidate],
+                    block: int) -> List[CandidateResult]:
+    """Score ``candidates`` in this process, in order.
 
-
-class SerialExecutor(CandidateExecutor):
-    """In-process sequential evaluation (the reference implementation)."""
-
-    workers = 1
-
-    def run(self, context: EvaluationContext,
-            candidates: Sequence[Candidate]) -> SubmissionReport:
-        start = time.perf_counter()
-        results = _run_serially(context, candidates)
-        return SubmissionReport(
-            results=results, wall_seconds=time.perf_counter() - start,
-        )
-
-
-class BackendExecutor(CandidateExecutor):
-    """In-process evaluation on a chosen array backend (device-resident).
-
-    Candidates are scored sequentially in this process, but every reservoir
-    sweep and DPRR contraction of every candidate runs on the given
-    :mod:`repro.backend` backend — this is the execution mode for a single
-    accelerator, where one GPU evaluating dense batched sweeps replaces a
-    pool of CPU workers.  The override travels as a *spec string* on the
-    submission context, so it composes with the searches unchanged and
-    (being picklable) also survives a trip into worker processes.
-
-    Parameters
-    ----------
-    backend:
-        Backend spec (``"torch"``, ``"torch:cuda:1"``, ``"cupy"``,
-        ``"numpy"``); ``None`` defers to ``REPRO_BACKEND``.  The spec is
-        resolved eagerly, so requesting an uninstalled backend fails at
-        construction time, not mid-search.
-
-    With ``backend="numpy"`` this is bit-identical to
-    :class:`SerialExecutor` (pinned by ``tests/test_backend.py``).
+    At ``block == 1`` this is the plain serial loop — the reference every
+    other configuration is pinned bit-identical to.  At ``block > 1``
+    candidates run as fused blocks through
+    :meth:`~repro.exec.context.EvaluationContext.evaluate_block`, and every
+    failure funnels through the serial loop so failure *records* match it
+    bit for bit: a candidate with non-finite parameters is scored serially
+    up front, a row whose scoring raised inside the block (or that a fault
+    plan marks corrupted) is re-scored serially on its own, and a block
+    whose fused sweep fails outright is scored serially as a whole.
     """
-
-    workers = 1
-
-    def __init__(self, backend: Optional[str] = None):
-        from repro.backend import BACKEND_ENV_VAR, resolve_backend
-
-        if backend is None:
-            backend = os.environ.get(BACKEND_ENV_VAR, "").strip() or None
-        #: spec applied to submitted contexts; None means no override
-        self.backend_spec = backend
-        #: resolved backend (eager, so a missing library fails here)
-        self.backend = resolve_backend(backend)
-
-    def run(self, context: EvaluationContext,
-            candidates: Sequence[Candidate]) -> SubmissionReport:
-        start = time.perf_counter()
-        results = _run_serially(self._apply_backend(context), candidates)
-        return SubmissionReport(
-            results=results, wall_seconds=time.perf_counter() - start,
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return f"BackendExecutor(backend={self.backend.name!r})"
-
-
-class VectorizedExecutor(CandidateExecutor):
-    """Fuse blocks of K candidates into one stacked array program.
-
-    Candidates are chunked into blocks of ``block_size`` and each block is
-    evaluated by a *single* reservoir/DPRR sweep with the candidate axis
-    stacked in front of the sample axis
-    (:meth:`~repro.exec.context.EvaluationContext.evaluate_block`): the
-    standardizer, the mask drive, and every batched contraction are shared
-    by the whole block instead of being redone per candidate, and on an
-    accelerator backend the block is one resident ``(K, N, ...)`` program
-    instead of K kernel dispatches.  On the NumPy backend results are
-    bit-identical to :class:`SerialExecutor` (pinned by tests).
-
-    Fault isolation is row-wise, and every failure funnels through the
-    ordinary serial path so failure *records* match serial execution bit
-    for bit: a candidate with non-finite parameters is scored serially up
-    front, a candidate whose per-candidate scoring raises inside the block
-    is re-scored serially (its row only — a deterministic failure
-    reproduces the exact serial record, a transient one recovers), and a
-    block whose fused sweep fails outright falls back to serial evaluation
-    of all its candidates.
-
-    Parameters
-    ----------
-    block_size:
-        Candidates fused per sweep; ``None`` resolves through
-        ``REPRO_CANDIDATE_BLOCK_SIZE`` (default
-        ``DEFAULT_CANDIDATE_BLOCK_SIZE``).  Peak trace memory scales
-        linearly with the block size.
-    backend:
-        Optional array-backend spec stamped onto submitted contexts
-        (resolved eagerly, so an uninstalled backend fails at construction
-        time); ``None`` leaves the context's own backend in place.
-    """
-
-    workers = 1
-    prefers_batch = True
-
-    def __init__(self, block_size: Optional[int] = None,
-                 backend: Optional[str] = None):
-        self.block_size = resolve_candidate_block_size(block_size)
-        self.backend_spec = backend
-        if backend is not None:
-            from repro.backend import resolve_backend
-
-            resolve_backend(backend)
-
-    def run(self, context: EvaluationContext,
-            candidates: Sequence[Candidate]) -> SubmissionReport:
-        start = time.perf_counter()
-        context = self._apply_backend(context)
-        results: List[Optional[CandidateResult]] = [None] * len(candidates)
-        fusable = []
-        for pos, candidate in enumerate(candidates):
-            if math.isfinite(candidate.A) and math.isfinite(candidate.B):
-                fusable.append((pos, candidate))
-            else:
-                # non-finite parameters would poison the whole stacked
-                # sweep; score them serially so they fail exactly as they
-                # would under the serial executor
+    if block == 1:
+        return [evaluate_candidate(context, c) for c in candidates]
+    results: List[Optional[CandidateResult]] = [None] * len(candidates)
+    fusable = []
+    for pos, candidate in enumerate(candidates):
+        if math.isfinite(candidate.A) and math.isfinite(candidate.B):
+            fusable.append((pos, candidate))
+        else:
+            # non-finite parameters would poison the whole stacked sweep
+            results[pos] = evaluate_candidate(context, candidate)
+    for lo in range(0, len(fusable), block):
+        chunk = fusable[lo:lo + block]
+        t0 = time.perf_counter()
+        try:
+            evaluations = context.evaluate_block([c for _, c in chunk])
+        except Exception:
+            # a failed fused sweep must not cost any results
+            for pos, candidate in chunk:
                 results[pos] = evaluate_candidate(context, candidate)
-        for lo in range(0, len(fusable), self.block_size):
-            chunk = fusable[lo:lo + self.block_size]
-            block = [candidate for _, candidate in chunk]
-            t0 = time.perf_counter()
-            try:
-                evaluations = context.evaluate_block(block)
-            except Exception:
-                # a failed fused sweep must not cost any results: evaluate
-                # the block's candidates the ordinary serial way instead
-                for pos, candidate in chunk:
-                    results[pos] = evaluate_candidate(context, candidate)
-                continue
-            per_candidate = (time.perf_counter() - t0) / len(chunk)
-            for (pos, candidate), evaluation in zip(chunk, evaluations):
-                if faults.should_corrupt_row(candidate.index):
-                    # injected corruption: the fused row cannot be trusted,
-                    # so recover it through the same serial re-score path a
-                    # genuinely bad row takes — bit-identical by design
-                    results[pos] = evaluate_candidate(context, candidate)
-                elif evaluation.error is not None:
-                    # a row whose scoring raised inside the block is
-                    # re-scored through the ordinary serial path: a
-                    # deterministic failure reproduces the exact serial
-                    # failure record (traceback and all, keeping the
-                    # bit-parity invariant for failures too), a transient
-                    # one simply recovers
-                    results[pos] = evaluate_candidate(context, candidate)
-                else:
-                    results[pos] = CandidateResult(
-                        candidate=candidate, evaluation=evaluation,
-                        compute_seconds=per_candidate,
-                    )
-        return SubmissionReport(
-            results=results, wall_seconds=time.perf_counter() - start,
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return f"VectorizedExecutor(block_size={self.block_size})"
+            continue
+        per_candidate = (time.perf_counter() - t0) / len(chunk)
+        for (pos, candidate), evaluation in zip(chunk, evaluations):
+            if (faults.should_corrupt_row(candidate.index)
+                    or evaluation.error is not None):
+                # a deterministic failure reproduces the exact serial
+                # record (traceback and all); a transient one recovers
+                results[pos] = evaluate_candidate(context, candidate)
+            else:
+                results[pos] = CandidateResult(
+                    candidate=candidate, evaluation=evaluation,
+                    compute_seconds=per_candidate,
+                )
+    return results
 
 
-# module-level worker state: the context is shipped once per worker via the
-# pool initializer instead of once per candidate
+# module-level worker state: the context and block size are shipped once
+# per worker via the pool initializer instead of once per candidate
 _WORKER_CONTEXT: Optional[EvaluationContext] = None
-#: in-worker vectorized executor for two-level fusion (None: plain mapping)
-_WORKER_VECTORIZED: Optional["VectorizedExecutor"] = None
+_WORKER_BLOCK: int = 1
 
 
-def _init_worker(context: EvaluationContext,
-                 vectorized_block_size: Optional[int] = None) -> None:
-    global _WORKER_CONTEXT, _WORKER_VECTORIZED
+def _init_worker(context: EvaluationContext, block: int) -> None:
+    global _WORKER_CONTEXT, _WORKER_BLOCK
     _WORKER_CONTEXT = context
-    _WORKER_VECTORIZED = (
-        None if vectorized_block_size is None
-        else VectorizedExecutor(block_size=vectorized_block_size)
-    )
+    _WORKER_BLOCK = block
 
 
-def _worker_evaluate_many(task) -> List[CandidateResult]:
-    """Evaluate one dispatch group of candidates in a worker process.
+def _worker_run(task) -> List[CandidateResult]:
+    """Evaluate one dispatch group in a worker process.
 
     ``task`` is ``(candidates, attempt)``: the attempt number travels with
     the group so the fault seam — consulted per candidate *before*
     evaluation — stops firing once a re-dispatched group has outlived a
-    fault's ``times`` budget.  Ordinary evaluation failures are captured
-    by :func:`evaluate_candidate` (data, not infrastructure); only
+    fault's ``times`` budget.  The group then runs through the same
+    in-process path as ``workers=1`` against the worker-resident context.
+    Ordinary evaluation failures are captured by
+    :func:`evaluate_candidate` (data, not infrastructure); only
     injected/transient faults propagate out of this wrapper.
     """
     candidates, attempt = task
-    out = []
     for candidate in candidates:
         faults.on_worker_candidate(candidate.index, attempt)
-        out.append(evaluate_candidate(_WORKER_CONTEXT, candidate))
-    return out
+    return _evaluate_local(_WORKER_CONTEXT, candidates, _WORKER_BLOCK)
 
 
-def _worker_evaluate_block(task) -> List[CandidateResult]:
-    """Two-level fusion: one worker dispatch evaluates a fused block.
-
-    The in-worker :class:`VectorizedExecutor` runs the block as one stacked
-    candidate-axis sweep against the worker-resident context; its row-wise
-    fault isolation means a bad candidate fails alone here exactly as it
-    would in-process.  ``task`` is ``(candidates, attempt)`` exactly as in
-    :func:`_worker_evaluate_many`.
-    """
-    candidates, attempt = task
-    for candidate in candidates:
-        faults.on_worker_candidate(candidate.index, attempt)
-    return list(_WORKER_VECTORIZED.run(_WORKER_CONTEXT, candidates).results)
-
-
-class MultiprocessExecutor(CandidateExecutor):
-    """Shard candidates across a :class:`~concurrent.futures.ProcessPoolExecutor`.
+class Executor(CandidateExecutor):
+    """Evaluate candidates over ``workers`` processes, ``block`` at a time.
 
     Parameters
     ----------
     workers:
-        Process count; ``None`` resolves through ``REPRO_WORKERS``.
+        Process count; ``None`` resolves through ``REPRO_WORKERS``.  At 1
+        candidates run in this process.
+    block:
+        Candidates fused per stacked sweep; 1 is the plain serial loop.
+        Peak trace memory scales linearly with the block.
+    backend:
+        Array-backend spec (``"torch"``, ``"torch:cuda:1"``, ``"cupy"``,
+        ``"numpy"``) stamped onto submitted contexts; resolved eagerly, so
+        an uninstalled backend fails at construction time, not
+        mid-search.  ``None`` leaves the context's own backend in place.
+        The spec travels on the (picklable) context, so it also reaches
+        worker processes.
     chunksize:
-        Candidates per dispatch *group*; ``None`` picks
-        ``ceil(n / (4 * workers))`` — small enough to balance load, large
-        enough to amortize IPC.  The group is both the IPC unit and the
-        retry / re-dispatch unit of the supervision loop.  Under two-level
-        fusion the group is one fused *block* (the block is already the
-        IPC granularity).
-    vectorized_block_size:
-        Two-level fusion (``executor_kind="multiprocess+vectorized"``):
-        when set, each worker evaluates its share as fused
-        :class:`VectorizedExecutor` blocks of this many candidates —
-        process sharding across cores *and* candidate-axis fusion within
-        each process (``REPRO_WORKERS`` composes with
-        ``REPRO_CANDIDATE_BLOCK_SIZE``).  Results stay bit-identical to
-        serial execution on NumPy: both levels preserve candidate order
-        and the vectorized level is itself bit-identical to serial.
-        ``None`` (default) maps plain per-candidate evaluation.
+        Candidates per dispatch *group* when ``workers > 1`` and
+        ``block == 1``; ``None`` picks ``ceil(n / (4 * workers))`` — small
+        enough to balance load, large enough to amortize IPC.  With
+        ``block > 1`` the group is one fused block.  The group is both the
+        IPC unit and the retry / re-dispatch unit of the supervision loop.
     max_retries:
-        Bounded retry budget per dispatch group; ``None`` resolves through
-        ``REPRO_MAX_RETRIES`` (default ``DEFAULT_MAX_RETRIES``).  A group
-        still failing after the budget resolves to failed
-        :class:`CandidateResult` records — the ``failed()`` sentinel
-        downstream — instead of sinking (or hanging) the search.
+        Bounded retry budget per dispatch group.  A group still failing
+        after the budget resolves to failed :class:`CandidateResult`
+        records — the ``failed()`` sentinel downstream — instead of
+        sinking (or hanging) the search.
     backoff_ms:
         Base pause before a re-dispatch, doubling per attempt (capped at
-        1 s); ``None`` resolves through ``REPRO_RETRY_BACKOFF_MS``.
+        1 s).
     task_timeout_ms:
-        Per-dispatch-group timeout; ``None`` resolves through
-        ``REPRO_TASK_TIMEOUT_MS``, ``0`` (the default) disables it.  An
+        Per-dispatch-group timeout; 0 (the default) disables it.  An
         overdue group's worker processes are terminated — wedged-worker
-        recovery — and the group re-dispatches like any other lost unit.
-    heartbeat_ms:
-        Supervision wake interval while dispatches are in flight (only
-        consulted when a task timeout is set).
+        recovery — and the group re-dispatches like any other lost unit,
+        charged once against its retry budget.
 
     The context (data arrays + extractor config) is pickled once per worker
     through the pool initializer; each candidate then costs only a few
@@ -570,65 +325,96 @@ class MultiprocessExecutor(CandidateExecutor):
     context replaces the pool.  Single-candidate submissions with no live
     pool are evaluated in-process.
 
-    **Supervision.**  Every dispatch group is submitted as a future and
-    watched with a heartbeat.  A hard worker crash breaks the pool: all
-    in-flight groups are marked lost, the pool is rebuilt, and the lost
-    groups re-dispatch (``SubmissionReport.redispatches``).  A transient
-    in-worker failure — :class:`~repro.faults.FaultInjected` from the
-    fault seam, or any unexpected wrapper exception — retries the same
-    way (``SubmissionReport.retries``), with exponential backoff between
+    **Supervision.**  Every dispatch group is submitted as a future.  A
+    hard worker crash breaks the pool: all in-flight groups are marked
+    lost, the pool is rebuilt, and the lost groups re-dispatch
+    (``SubmissionReport.redispatches``).  A transient in-worker failure —
+    :class:`~repro.faults.FaultInjected` from the fault seam, or any
+    unexpected wrapper exception — retries the same way
+    (``SubmissionReport.retries``), with exponential backoff between
     waves.  Because per-candidate seeds derive from the context and
     candidate index alone (never from scheduling), a re-dispatched group
-    reproduces exactly what the lost worker would have produced, so a
-    recovered run is bit-identical to a fault-free one on NumPy.
+    reproduces exactly what the lost worker would have produced.
     Ordinary evaluation errors are *results* (captured by
     :func:`evaluate_candidate`) and are never retried.
 
-    The executor is a context manager (``with MultiprocessExecutor(...)``)
-    and registers with an atexit sweep, so interrupted searches don't
-    leak worker processes; call :meth:`close` to release them
-    deterministically.
+    The executor is a context manager and registers with an atexit sweep,
+    so interrupted searches don't leak worker processes; call
+    :meth:`close` to release them deterministically.
     """
 
-    def __init__(self, workers: Optional[int] = None,
+    def __init__(self, workers: Optional[int] = 1, block: int = 1,
+                 backend: Optional[str] = None, *,
                  chunksize: Optional[int] = None,
-                 vectorized_block_size: Optional[int] = None,
-                 max_retries: Optional[int] = None,
-                 backoff_ms: Optional[float] = None,
-                 task_timeout_ms: Optional[float] = None,
-                 heartbeat_ms: float = 200.0):
+                 max_retries: int = DEFAULT_MAX_RETRIES,
+                 backoff_ms: float = DEFAULT_RETRY_BACKOFF_MS,
+                 task_timeout_ms: float = 0.0):
         self.workers = resolve_workers(workers)
+        self.block = resolve_candidate_block_size(block)
+        if backend is not None:
+            from repro.backend import resolve_backend
+
+            resolve_backend(backend)
+        self.backend_spec = backend
         if chunksize is not None and chunksize < 1:
             raise ValueError(f"chunksize must be >= 1, got {chunksize}")
         self.chunksize = chunksize
-        if vectorized_block_size is not None and vectorized_block_size < 1:
+        self.max_retries = int(max_retries)
+        if self.max_retries < 0:
+            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
+        self.backoff_ms = float(backoff_ms)
+        if not self.backoff_ms >= 0:
+            raise ValueError(f"backoff_ms must be >= 0, got {backoff_ms}")
+        self.task_timeout_ms = float(task_timeout_ms)
+        if not self.task_timeout_ms >= 0:
             raise ValueError(
-                f"vectorized_block_size must be >= 1, got {vectorized_block_size}"
-            )
-        self.vectorized_block_size = vectorized_block_size
-        self.max_retries = resolve_max_retries(max_retries)
-        self.backoff_ms = resolve_retry_backoff_ms(backoff_ms)
-        self.task_timeout_ms = resolve_task_timeout_ms(task_timeout_ms)
-        self.heartbeat_ms = max(float(heartbeat_ms), 1.0)
+                f"task_timeout_ms must be >= 0, got {task_timeout_ms}")
         #: lifetime supervision counters, summed across submissions
         self.total_retries = 0
         self.total_redispatches = 0
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_context: Optional[EvaluationContext] = None
-        _LIVE_EXECUTORS.add(self)
+        if self.workers > 1:
+            _LIVE_EXECUTORS.add(self)
 
     @property
     def prefers_batch(self) -> bool:
-        # with a single worker there is no overlap to buy, so speculative
-        # callers should hand candidates over lazily, exactly like serial —
-        # unless the workers fuse blocks, where a batch buys candidate-axis
-        # fusion even on one process
-        return self.workers > 1 or self.vectorized_block_size is not None
+        # a batch buys process-level overlap or candidate-axis fusion;
+        # otherwise speculative callers hand candidates over lazily
+        return self.workers > 1 or self.block > 1
 
-    def _chunksize(self, n_candidates: int) -> int:
-        if self.chunksize is not None:
-            return self.chunksize
-        return max(1, -(-n_candidates // (4 * self.workers)))
+    def _apply_backend(self, context: EvaluationContext) -> EvaluationContext:
+        """Stamp :attr:`backend_spec` onto ``context`` (cached per source).
+
+        The retargeted copy is cached by source-context identity so that
+        repeated submissions of one context — annealing rounds, the levels
+        of a recursive grid — keep hitting the same object (extractor reuse
+        in-process, pool reuse across processes).
+        """
+        if self.backend_spec is None or context.backend == self.backend_spec:
+            return context
+        if getattr(self, "_retarget_source", None) is not context:
+            self._retargeted = replace(context, backend=self.backend_spec)
+            self._retarget_source = context
+        return self._retargeted
+
+    def run(self, context: EvaluationContext,
+            candidates: Sequence[Candidate]) -> SubmissionReport:
+        start = time.perf_counter()
+        context = self._apply_backend(context)
+        reusable = self._pool is not None and self._pool_context is context
+        if self.workers == 1 or (len(candidates) < 2 and not reusable):
+            results = _evaluate_local(context, candidates, self.block)
+            retries = redispatches = 0
+        else:
+            results, retries, redispatches = self._supervise(
+                context, candidates)
+            self.total_retries += retries
+            self.total_redispatches += redispatches
+        return SubmissionReport(
+            results=results, wall_seconds=time.perf_counter() - start,
+            retries=retries, redispatches=redispatches,
+        )
 
     def close(self) -> None:
         if self._pool is not None:
@@ -636,13 +422,21 @@ class MultiprocessExecutor(CandidateExecutor):
             self._pool = None
             self._pool_context = None
 
+    def __repr__(self) -> str:  # pragma: no cover - trivial
+        return (f"{type(self).__name__}(workers={self.workers}, "
+                f"block={self.block}, backend={self.backend_spec!r})")
+
+    # ------------------------------------------------------------------ #
+    # worker pool and supervision (workers > 1)
+    # ------------------------------------------------------------------ #
+
     def _get_pool(self, context: EvaluationContext) -> ProcessPoolExecutor:
         if self._pool is None or self._pool_context is not context:
             self.close()
             self._pool = ProcessPoolExecutor(
                 max_workers=self.workers,
                 initializer=_init_worker,
-                initargs=(context, self.vectorized_block_size),
+                initargs=(context, self.block),
             )
             self._pool_context = context
         return self._pool
@@ -669,22 +463,16 @@ class MultiprocessExecutor(CandidateExecutor):
             return 0.0
         return min(self.backoff_ms * (2.0 ** max(attempt - 1, 0)), 1000.0) / 1e3
 
-    def run(self, context: EvaluationContext,
-            candidates: Sequence[Candidate]) -> SubmissionReport:
-        start = time.perf_counter()
-        context = self._apply_backend(context)
-        reusable = self._pool is not None and self._pool_context is context
-        if len(candidates) < 2 and not reusable:
-            results = _run_serially(context, candidates)
-            return SubmissionReport(
-                results=results, wall_seconds=time.perf_counter() - start,
-            )
-        if self.vectorized_block_size is not None:
-            group_size = self.vectorized_block_size
-            worker_fn = _worker_evaluate_block
+    def _supervise(self, context: EvaluationContext,
+                   candidates: Sequence[Candidate],
+                   ) -> Tuple[List[CandidateResult], int, int]:
+        """Shard ``candidates`` over the pool; ``(results, retries, redispatches)``."""
+        if self.block > 1:
+            group_size = self.block
+        elif self.chunksize is not None:
+            group_size = self.chunksize
         else:
-            group_size = self._chunksize(len(candidates))
-            worker_fn = _worker_evaluate_many
+            group_size = max(1, -(-len(candidates) // (4 * self.workers)))
         groups = [(lo, list(candidates[lo:lo + group_size]))
                   for lo in range(0, len(candidates), group_size)]
         results: List[Optional[CandidateResult]] = [None] * len(candidates)
@@ -704,6 +492,9 @@ class MultiprocessExecutor(CandidateExecutor):
         # group therefore exhausts ITS budget without draining anyone
         # else's, and collateral groups always recover.
         probe = False
+        # groups already charged by their own stopwatch for the break
+        # their timeout is about to cause
+        timed_out: set = set()
 
         def record(gi: int, group_results: List[CandidateResult]) -> None:
             lo = groups[gi][0]
@@ -719,6 +510,8 @@ class MultiprocessExecutor(CandidateExecutor):
 
         timeout_s = (self.task_timeout_ms / 1e3
                      if self.task_timeout_ms > 0 else None)
+        # supervision wake interval while dispatches are in flight
+        beat = max(timeout_s / 4, 1e-3) if timeout_s is not None else None
         while ready or pending:
             while ready and (not probe or not pending):
                 gi = ready.pop(0)
@@ -730,14 +523,12 @@ class MultiprocessExecutor(CandidateExecutor):
                     if backoff > 0:
                         time.sleep(backoff)
                 pool = self._get_pool(context)
-                fut = pool.submit(
-                    worker_fn, (groups[gi][1], requeues[gi]))
+                fut = pool.submit(_worker_run, (groups[gi][1], requeues[gi]))
                 pending[fut] = (gi, time.monotonic())
                 if probe:
                     break
             if not pending:
                 continue
-            beat = self.heartbeat_ms / 1e3 if timeout_s is not None else None
             done, _ = wait(set(pending), timeout=beat,
                            return_when=FIRST_COMPLETED)
             if not done and timeout_s is not None:
@@ -750,6 +541,7 @@ class MultiprocessExecutor(CandidateExecutor):
                     # handled below as an ordinary lost-worker event
                     for _f, gi in overdue:
                         attempts[gi] += 1
+                        timed_out.add(gi)
                         last_error[gi] = (
                             f"task timed out after {self.task_timeout_ms:g} ms"
                         )
@@ -795,9 +587,11 @@ class MultiprocessExecutor(CandidateExecutor):
                         lost.append(gi)
                 pending.clear()
                 self.close()
-                if probe and len(lost) == 1:
+                if probe and len(lost) == 1 and lost[0] not in timed_out:
                     # single-flight probe: the break IS this group's fault
+                    # (a timed-out group was already charged above)
                     attempts[lost[0]] += 1
+                timed_out.clear()
                 probe = True
             for gi in lost:
                 redispatches += 1
@@ -807,57 +601,85 @@ class MultiprocessExecutor(CandidateExecutor):
                 retries += 1
                 requeues[gi] += 1
                 ready.append(gi)
-        self.total_retries += retries
-        self.total_redispatches += redispatches
-        return SubmissionReport(
-            results=results, wall_seconds=time.perf_counter() - start,
-            retries=retries, redispatches=redispatches,
-        )
+        return results, retries, redispatches
 
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        if self.vectorized_block_size is not None:
-            return (f"MultiprocessExecutor(workers={self.workers}, "
-                    f"vectorized_block_size={self.vectorized_block_size})")
-        return f"MultiprocessExecutor(workers={self.workers})"
+
+class SerialExecutor(Executor):
+    """In-process sequential evaluation (the reference implementation)."""
+
+    def __init__(self):
+        super().__init__()
+
+
+class BackendExecutor(Executor):
+    """In-process sequential evaluation on one array backend.
+
+    Every reservoir sweep and DPRR contraction runs on the given
+    :mod:`repro.backend` backend — the execution mode for a single
+    accelerator, where one device evaluating dense batched sweeps replaces
+    a pool of CPU workers.  With ``backend="numpy"`` this is bit-identical
+    to :class:`SerialExecutor` (pinned by ``tests/test_backend.py``).
+    """
+
+    def __init__(self, backend: Optional[str] = None):
+        super().__init__(backend=backend)
+
+
+class VectorizedExecutor(Executor):
+    """In-process candidate-axis fusion in blocks of ``block_size``.
+
+    ``block_size=None`` resolves through ``REPRO_CANDIDATE_BLOCK_SIZE``
+    (default ``DEFAULT_CANDIDATE_BLOCK_SIZE``).  On NumPy results are
+    bit-identical to :class:`SerialExecutor` (pinned by tests).
+    """
+
+    def __init__(self, block_size: Optional[int] = None,
+                 backend: Optional[str] = None):
+        super().__init__(block=resolve_candidate_block_size(block_size),
+                         backend=backend)
+
+
+class MultiprocessExecutor(Executor):
+    """Process-pool sharding, optionally over fused blocks per worker.
+
+    ``vectorized_block_size`` is the per-worker fused block (two-level
+    fusion); ``None`` maps plain per-candidate evaluation.
+    """
+
+    def __init__(self, workers: Optional[int] = None,
+                 chunksize: Optional[int] = None,
+                 vectorized_block_size: Optional[int] = None,
+                 max_retries: int = DEFAULT_MAX_RETRIES,
+                 backoff_ms: float = DEFAULT_RETRY_BACKOFF_MS,
+                 task_timeout_ms: float = 0.0,
+                 backend: Optional[str] = None):
+        super().__init__(
+            workers,
+            1 if vectorized_block_size is None else vectorized_block_size,
+            backend, chunksize=chunksize, max_retries=max_retries,
+            backoff_ms=backoff_ms, task_timeout_ms=task_timeout_ms,
+        )
 
 
 def make_executor(workers: Optional[int] = None,
-                  chunksize: Optional[int] = None,
                   backend: Optional[str] = None,
-                  kind: Optional[str] = None,
-                  candidate_block_size: Optional[int] = None,
-                  ) -> CandidateExecutor:
-    """Build the executor for an effective worker count (and backend).
+                  block: Optional[int] = None) -> Executor:
+    """Build the executor for ``(workers, block, backend)``.
 
-    An executor ``kind`` — explicit, or forced fleet-wide through the
-    ``REPRO_EXECUTOR`` environment variable — wins outright:
-    ``"vectorized"`` yields a :class:`VectorizedExecutor` (block size from
-    ``candidate_block_size`` / ``REPRO_CANDIDATE_BLOCK_SIZE``),
-    ``"multiprocess"`` a :class:`MultiprocessExecutor`,
-    ``"multiprocess+vectorized"`` the two-level composition — process
-    sharding across ``REPRO_WORKERS`` workers, each evaluating fused
-    candidate-axis blocks of ``REPRO_CANDIDATE_BLOCK_SIZE`` — and
-    ``"serial"`` the plain serial path.  Without a kind override,
-    ``resolve_workers(workers) == 1`` yields a :class:`SerialExecutor` —
-    or a :class:`BackendExecutor` when an explicit ``backend`` spec is
-    given; anything larger a :class:`MultiprocessExecutor` (workers then
-    inherit the backend override through the pickled context).
+    ``workers`` comes from the argument or ``REPRO_WORKERS``, ``block``
+    from the argument or ``REPRO_CANDIDATE_BLOCK_SIZE``, each else 1.  The
+    returned subclass names the configuration: more than one worker gives
+    a :class:`MultiprocessExecutor` (fused per worker when ``block > 1``),
+    else ``block > 1`` a :class:`VectorizedExecutor`, else a backend spec a
+    :class:`BackendExecutor`, else a :class:`SerialExecutor`.
     """
-    kind = resolve_executor_kind(kind)
     n = resolve_workers(workers)
-    if kind == "vectorized":
-        return VectorizedExecutor(candidate_block_size, backend=backend)
-    if kind == "serial" or (kind is None and n == 1):
-        if backend is not None:
-            return BackendExecutor(backend)
-        return SerialExecutor()
-    block = (resolve_candidate_block_size(candidate_block_size)
-             if kind == "multiprocess+vectorized" else None)
-    executor = MultiprocessExecutor(n, chunksize=chunksize,
-                                    vectorized_block_size=block)
+    b = resolve_candidate_block_size(block, default=1)
+    if n > 1:
+        return MultiprocessExecutor(n, vectorized_block_size=b,
+                                    backend=backend)
+    if b > 1:
+        return VectorizedExecutor(b, backend=backend)
     if backend is not None:
-        from repro.backend import resolve_backend
-
-        resolve_backend(backend)  # fail fast on an uninstalled backend
-        executor.backend_spec = backend
-    return executor
+        return BackendExecutor(backend)
+    return SerialExecutor()

@@ -88,9 +88,9 @@ class TestWorkerResolution:
         assert resolve_workers(0) == 1
         assert resolve_workers(-3) == 1
 
-    def test_make_executor_kinds(self, monkeypatch):
+    def test_make_executor_by_worker_count(self, monkeypatch):
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+        monkeypatch.delenv("REPRO_CANDIDATE_BLOCK_SIZE", raising=False)
         assert isinstance(make_executor(1), SerialExecutor)
         assert isinstance(make_executor(2), MultiprocessExecutor)
         monkeypatch.setenv("REPRO_WORKERS", "2")
@@ -246,28 +246,6 @@ class TestTwoLevelFusion:
         executor = MultiprocessExecutor(1, vectorized_block_size=4)
         assert executor.prefers_batch
         assert not MultiprocessExecutor(1).prefers_batch
-
-    def test_kind_resolution_and_make_executor(self, monkeypatch):
-        from repro.exec import (
-            resolve_candidate_block_size,
-            resolve_executor_kind,
-        )
-
-        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
-        assert (resolve_executor_kind("multiprocess+vectorized")
-                == "multiprocess+vectorized")
-        # the reversed spelling is accepted as the same composition
-        assert (resolve_executor_kind("vectorized+multiprocess")
-                == "multiprocess+vectorized")
-        monkeypatch.setenv("REPRO_EXECUTOR", "multiprocess+vectorized")
-        assert resolve_executor_kind(None) == "multiprocess+vectorized"
-        monkeypatch.setenv("REPRO_WORKERS", "2")
-        monkeypatch.setenv("REPRO_CANDIDATE_BLOCK_SIZE", "5")
-        executor = make_executor(None)
-        assert isinstance(executor, MultiprocessExecutor)
-        assert executor.workers == 2
-        assert executor.vectorized_block_size == 5
-        assert resolve_candidate_block_size(None) == 5
 
     def test_block_size_validation(self):
         with pytest.raises(ValueError):

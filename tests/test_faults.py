@@ -10,11 +10,14 @@ in the counters.  No injected fault may hang an engine or leak a future.
 
 import asyncio
 import json
+import multiprocessing
 import threading
+import time
 
 import numpy as np
 import pytest
 
+import repro.exec.executors as executors_mod
 from repro.core.pipeline import DFRFeatureExtractor
 from repro.data.loaders import make_toy_dataset
 from repro.exec import (
@@ -239,6 +242,37 @@ class TestExecutorChaos:
         report = VectorizedExecutor(block_size=3).run(context, candidates)
         assert all(r.ok for r in report.results)
         assert report.evaluations() == serial
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the hang is patched into forked workers")
+    def test_timed_out_group_charged_once(self, setup, tmp_path,
+                                          monkeypatch):
+        data, ext = setup
+        context = _context(data, ext)
+        candidates = _candidates(4)
+        serial = SerialExecutor().run(context, candidates).evaluations()
+        log = tmp_path / "dispatches"
+        evaluate = executors_mod.evaluate_candidate
+
+        def hang_first(ctx, candidate):
+            if candidate.index == 0:
+                with open(log, "a") as fh:
+                    fh.write("dispatched\n")
+                time.sleep(60)  # wedged: only the stopwatch gets it back
+            return evaluate(ctx, candidate)
+
+        # workers fork after the patch, so they inherit it
+        monkeypatch.setattr(executors_mod, "evaluate_candidate", hang_first)
+        max_retries = 2
+        with MultiprocessExecutor(2, chunksize=1, max_retries=max_retries,
+                                  backoff_ms=1.0, task_timeout_ms=500) as ex:
+            report = ex.run(context, candidates)
+        # each timeout charges the group's retry budget exactly once
+        assert len(log.read_text().splitlines()) == max_retries + 1
+        assert not report.results[0].ok
+        assert "task timed out" in report.results[0].error
+        assert all(r.ok for r in report.results[1:])
+        assert report.evaluations()[1:] == serial[1:]
 
     def test_context_manager_closes_pool(self, setup):
         data, ext = setup

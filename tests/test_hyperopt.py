@@ -6,6 +6,7 @@ import pytest
 from repro.core.hyperopt import RandomSearch, SimulatedAnnealing
 from repro.core.pipeline import DFRFeatureExtractor
 from repro.data.loaders import make_toy_dataset
+from repro.exec import SerialExecutor, VectorizedExecutor
 
 
 @pytest.fixture(scope="module")
@@ -147,8 +148,9 @@ class TestSpeculativeAnnealing:
         # a serial executor has no concurrency to buy, so speculative mode
         # must not discard any evaluations — and the consumed trajectory
         # matches the eagerly-evaluated parallel run of the same seed.
-        # (pinned to an explicit SerialExecutor: REPRO_EXECUTOR in CI may
-        # force an eager executor kind for default-constructed searches)
+        # (pinned to an explicit SerialExecutor: REPRO_WORKERS or
+        # REPRO_CANDIDATE_BLOCK_SIZE in CI may make default-constructed
+        # searches eager)
         from repro.exec import SerialExecutor
 
         serial = SimulatedAnnealing(ext, seed=2, executor=SerialExecutor()).search(
@@ -204,10 +206,13 @@ class TestSpeculativeWasteAccounting:
             n_steps=10, speculative=4, n_classes=3, **kwargs)
         return out, counting
 
-    def test_serial_is_lazy_and_waste_free(self, setup):
-        from repro.exec import SerialExecutor
-
-        out, counting = self._search(setup, SerialExecutor())
+    # block 1 is the serial loop, so a VectorizedExecutor there is lazy too
+    @pytest.mark.parametrize("executor", [
+        SerialExecutor(), VectorizedExecutor(block_size=1),
+    ], ids=["serial", "vectorized-block1"])
+    def test_serial_is_lazy_and_waste_free(self, setup, executor):
+        assert not executor.prefers_batch
+        out, counting = self._search(setup, executor)
         assert out.n_wasted == 0
         # everything submitted was consumed into the trajectory
         assert counting.n_submitted == out.n_evaluations

@@ -205,6 +205,13 @@ class TestStreaming:
         chunked = concat_chunks(generate_chunks(spec, chunk_len))
         assert_same_arrays(eager, chunked)
 
+    @pytest.mark.parametrize("chunk_len", (1, 7, 64))
+    def test_saturated_narma_chunks_equal_eager(self, chunk_len):
+        # orders above 10 take the tanh-saturated recursion
+        spec = make_spec("narma", seed=3, n_steps=200, order=20)
+        assert_same_arrays(generate(spec),
+                           concat_chunks(generate_chunks(spec, chunk_len)))
+
     def test_chunk_len_validated(self):
         with pytest.raises(ValueError):
             list(generate_chunks(small_spec("narma"), 0))

@@ -66,11 +66,14 @@ class TestNarmaGeneral:
         np.testing.assert_array_equal(u_named, u_gen)
         np.testing.assert_array_equal(y_named, y_gen)
 
-    @pytest.mark.parametrize("order", [2, 5, 10, 20])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # no overflow
+    @pytest.mark.parametrize("order", [2, 5, 10, 15, 20, 30])
     def test_orders_produce_finite_series(self, order):
         u, y = narma(400, order=order, seed=0)
         assert u.shape == y.shape == (400,)
         assert np.all(np.isfinite(u)) and np.all(np.isfinite(y))
+        # bounded, and never the reset value of a diverged step
+        assert np.all((y > 0.0) & (y < 1.0))
 
     def test_orders_differ(self):
         _, y5 = narma(200, order=5, seed=0)

@@ -5,8 +5,8 @@ sweep — through the reservoir, the DPRR contraction, the batched backward,
 and the whole fused candidate evaluation — must reproduce the scalar
 per-candidate path exactly, row for row.  On top of that sit the
 executor-level guarantees: result ordering, block chunking, row-wise fault
-isolation, and the ``REPRO_EXECUTOR`` / ``REPRO_CANDIDATE_BLOCK_SIZE``
-resolution knobs.
+isolation, and the ``(workers, block, backend)`` resolution through
+``REPRO_WORKERS`` / ``REPRO_CANDIDATE_BLOCK_SIZE``.
 """
 
 import numpy as np
@@ -23,6 +23,7 @@ from repro.core.pipeline import (
 )
 from repro.data.loaders import make_toy_dataset
 from repro.exec import (
+    BackendExecutor,
     Candidate,
     EvaluationContext,
     MultiprocessExecutor,
@@ -30,7 +31,6 @@ from repro.exec import (
     VectorizedExecutor,
     make_executor,
     resolve_candidate_block_size,
-    resolve_executor_kind,
 )
 from repro.readout.softmax import SoftmaxReadout, one_hot
 from repro.representation.dprr import DPRR
@@ -490,16 +490,6 @@ class TestVectorizedExecutor:
 
 
 class TestExecutorResolution:
-    def test_kind_resolution(self, monkeypatch):
-        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
-        assert resolve_executor_kind(None) is None
-        assert resolve_executor_kind("vectorized") == "vectorized"
-        monkeypatch.setenv("REPRO_EXECUTOR", "vectorized")
-        assert resolve_executor_kind(None) == "vectorized"
-        assert resolve_executor_kind("serial") == "serial"  # explicit wins
-        with pytest.raises(ValueError):
-            resolve_executor_kind("quantum")
-
     def test_block_size_resolution(self, monkeypatch):
         monkeypatch.delenv("REPRO_CANDIDATE_BLOCK_SIZE", raising=False)
         assert resolve_candidate_block_size(8) == 8
@@ -517,39 +507,47 @@ class TestExecutorResolution:
         with pytest.raises(ValueError):
             resolve_candidate_block_size(0)
 
-    def test_make_executor_vectorized(self, monkeypatch):
+    def test_make_executor_resolves_workers_block_backend(self, toy,
+                                                         monkeypatch):
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
-        ex = make_executor(kind="vectorized", candidate_block_size=7)
-        assert isinstance(ex, VectorizedExecutor)
-        assert ex.block_size == 7
-        monkeypatch.setenv("REPRO_EXECUTOR", "vectorized")
-        assert isinstance(make_executor(None), VectorizedExecutor)
-        # the env kind wins even over an explicit worker count
-        assert isinstance(make_executor(4), VectorizedExecutor)
-        monkeypatch.setenv("REPRO_EXECUTOR", "serial")
-        assert isinstance(make_executor(4), SerialExecutor)
-        monkeypatch.setenv("REPRO_EXECUTOR", "multiprocess")
-        ex = make_executor(None)
-        assert isinstance(ex, MultiprocessExecutor)
-
-    def test_classifier_executor_cache_stable_under_forced_kind(self, toy,
-                                                                monkeypatch):
-        from repro.core.pipeline import DFRClassifier
-
-        monkeypatch.setenv("REPRO_EXECUTOR", "vectorized")
-        clf = DFRClassifier(n_nodes=4, workers=4, seed=0)
-        first = clf.candidate_executor()
-        assert isinstance(first, VectorizedExecutor)
-        # the forced kind's workers (1) differ from the requested count
-        # (4); the cache must not rebuild the executor on every call
-        assert clf.candidate_executor() is first
-
-    def test_searches_accept_executor_kind(self, toy):
+        monkeypatch.delenv("REPRO_CANDIDATE_BLOCK_SIZE", raising=False)
+        # (workers, block, backend) -> the subclass naming the configuration
+        cases = [
+            ((1, None, 1), SerialExecutor),
+            ((1, "numpy", 1), BackendExecutor),
+            ((1, None, 7), VectorizedExecutor),
+            ((1, "numpy", 7), VectorizedExecutor),
+            ((2, None, 1), MultiprocessExecutor),
+            ((2, "numpy", 5), MultiprocessExecutor),
+        ]
+        for (workers, backend, block), cls in cases:
+            ex = make_executor(workers, backend=backend, block=block)
+            assert type(ex) is cls
+            assert (ex.workers, ex.block, ex.backend_spec) == (
+                workers, block, backend)
+            assert ex.prefers_batch == (workers > 1 or block > 1)
+            ex.close()
+        # absent both knobs, execution is serial
+        assert type(make_executor()) is SerialExecutor
+        # REPRO_CANDIDATE_BLOCK_SIZE alone engages fusion, composing with
+        # REPRO_WORKERS into two-level fusion
+        monkeypatch.setenv("REPRO_CANDIDATE_BLOCK_SIZE", "5")
+        ex = make_executor()
+        assert type(ex) is VectorizedExecutor and ex.block == 5
+        monkeypatch.setenv("REPRO_WORKERS", "2")
+        ex = make_executor()
+        assert type(ex) is MultiprocessExecutor
+        assert (ex.workers, ex.block) == (2, 5)
+        # an explicit argument wins over the environment
+        assert type(make_executor(1, block=1)) is SerialExecutor
+        monkeypatch.delenv("REPRO_WORKERS")
+        monkeypatch.delenv("REPRO_CANDIDATE_BLOCK_SIZE")
+        # an explicit candidate_block_size on a search fuses on its own
         data, ext = toy
-        grid = GridSearch(ext, seed=0, executor_kind="vectorized",
-                          candidate_block_size=4)
-        assert isinstance(grid.executor, VectorizedExecutor)
-        assert grid.executor.block_size == 4
-        rs = RandomSearch(ext, seed=0, executor_kind="vectorized")
-        assert isinstance(rs.executor, VectorizedExecutor)
+        grid = GridSearch(ext, seed=0, candidate_block_size=4)
+        assert type(grid.executor) is VectorizedExecutor
+        assert grid.executor.block == 4
+        rs = RandomSearch(ext, seed=0, candidate_block_size=3)
+        assert type(rs.executor) is VectorizedExecutor
+        assert rs.executor.block == 3
+        assert type(GridSearch(ext, seed=0).executor) is SerialExecutor
