@@ -360,8 +360,17 @@ def test_long_t_filter_kernels(benchmark, monkeypatch):
 
 
 def test_ridge_sweep_cost(benchmark, trace, rng):
-    """The per-grid-point ridge cost (4 betas over 930 features)."""
+    """The per-grid-point ridge cost (4 betas over 930 features).
+
+    ``extra_info`` records the Gram form the solver picked — ``dual``
+    (``N x N``) with fewer samples than features, else ``primal`` — and
+    the ``(N, N_r)`` shape that decided it.
+    """
     feats = DPRR().features(trace)
     labels = rng.integers(0, 3, size=N_BATCH)
     models = benchmark(fit_ridge_sweep, feats, labels, PAPER_BETAS)
     assert len(models) == 4
+    n, n_r = feats.shape
+    benchmark.extra_info["form"] = "dual" if n < n_r else "primal"
+    benchmark.extra_info["n_samples"] = n
+    benchmark.extra_info["n_features"] = n_r

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import traceback
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -482,23 +482,27 @@ def _score_fixed_params(
     val_fraction: float,
     n_classes: int,
     seed: SeedLike,
+    selection: Optional[RidgeSelection] = None,
 ) -> FixedParamsEvaluation:
     """Score one candidate's feature matrices (the shared protocol tail).
 
     This single function builds the evaluation record for both the serial
     path (:func:`evaluate_fixed_params`) and each row of the fused block
     path (:func:`evaluate_fixed_params_block`) — which is what keeps the
-    two bit-identical by construction.
+    two bit-identical by construction.  ``selection`` is the row's
+    ``beta`` selection when the block already made it in one stacked
+    :func:`select_beta` call (bit-identical to selecting here).
     """
     if diverged:
         return FixedParamsEvaluation(
             A=A, B=B, beta=float("nan"), val_loss=float("inf"),
             val_accuracy=0.0, test_accuracy=0.0, diverged=True,
         )
-    selection = select_beta(
-        f_train, y_train, betas=betas, val_fraction=val_fraction,
-        n_classes=n_classes, seed=seed,
-    )
+    if selection is None:
+        selection = select_beta(
+            f_train, y_train, betas=betas, val_fraction=val_fraction,
+            n_classes=n_classes, seed=seed,
+        )
     test_acc = selection.best_model.accuracy(f_test, y_test)
     return FixedParamsEvaluation(
         A=A,
@@ -528,20 +532,21 @@ def evaluate_fixed_params_block(
 ) -> List[FixedParamsEvaluation]:
     """Evaluate a block of K ``(A, B)`` candidates in one fused sweep.
 
-    The reservoir/DPRR phase — the expensive part of
-    :func:`evaluate_fixed_params` — runs *once* for the whole block with a
+    The reservoir/DPRR phase runs *once* for the whole block with a
     candidate axis stacked in front of the batch axis (standardization and
     the mask drive are shared, the per-candidate node chains go through the
-    backend's stacked filter), then each candidate's ridge/beta selection
-    scores its feature slice through the identical protocol.  On the NumPy
-    backend every returned evaluation is bit-identical to the serial
-    :func:`evaluate_fixed_params` of that candidate (pinned by tests).
+    backend's stacked filter), and the ridge/beta selection of every
+    non-diverged candidate runs as one stacked :func:`select_beta` call on
+    the ``(K, N, N_r)`` features.  On the NumPy backend every returned
+    evaluation is bit-identical to the serial :func:`evaluate_fixed_params`
+    of that candidate (pinned by tests).
 
     ``seeds`` carries one holdout-split seed per candidate (``None``
     entries mean an unseeded split, exactly like the serial path).
 
     Failure semantics are row-wise: a candidate that diverges numerically
-    gets the usual diverged record, and one whose *scoring* raises gets the
+    gets the usual diverged record; if the stacked selection raises, every
+    row selects on its own; and a candidate whose *scoring* raises gets the
     :meth:`FixedParamsEvaluation.failed` sentinel (traceback in
     ``error``) — the rest of the block is unaffected.  Non-finite
     ``A``/``B`` entries raise up front, as they would serially; callers
@@ -574,6 +579,20 @@ def evaluate_fixed_params_block(
     f_test, div_test = extractor.features(
         u_test, A_values, B_values, batch_size=feature_batch_size
     )
+    diverged = [bool(div_train[k].any() or div_test[k].any())
+                for k in range(n_cand)]
+    live = [k for k in range(n_cand) if not diverged[k]]
+    selections: Dict[int, RidgeSelection] = {}
+    if live:
+        try:
+            stacked = select_beta(
+                f_train if len(live) == n_cand else f_train[live], y_train,
+                betas=betas, val_fraction=val_fraction, n_classes=n_classes,
+                seed=[seeds[k] for k in live],
+            )
+            selections = dict(zip(live, stacked))
+        except Exception:
+            pass  # the rows then select one by one, isolating the failure
     out: List[FixedParamsEvaluation] = []
     for k in range(n_cand):
         a_k = float(A_values[k])
@@ -581,9 +600,9 @@ def evaluate_fixed_params_block(
         try:
             out.append(_score_fixed_params(
                 f_train[k], f_test[k], y_train, y_test, a_k, b_k,
-                diverged=bool(div_train[k].any() or div_test[k].any()),
+                diverged=diverged[k],
                 betas=betas, val_fraction=val_fraction, n_classes=n_classes,
-                seed=seeds[k],
+                seed=seeds[k], selection=selections.get(k),
             ))
         except Exception:
             out.append(FixedParamsEvaluation.failed(
@@ -815,9 +834,10 @@ class DFRClassifier:
         only — fused feature sweeps over the population (chunked by the
         ``REPRO_CANDIDATE_BLOCK_SIZE`` block size so the stacked trace
         stays bounded at any population, like every other fused stage),
-        then the usual ridge/beta selection per member on a shared holdout
-        split (highest validation accuracy, cross-entropy then smallest
-        ``(A, B)`` as tiebreaks — the same criterion every search uses).
+        then one stacked ridge/beta selection per block on a holdout split
+        shared by all members (highest validation accuracy, cross-entropy
+        then smallest ``(A, B)`` as tiebreaks — the same criterion every
+        search uses).
         The test set plays no role, exactly as in the default path.
         """
         # selection.py imports this module, so the shared rule is pulled in
@@ -835,17 +855,19 @@ class DFRClassifier:
             hi = min(lo + block, len(results))
             features, diverged = self.extractor.features(
                 u, a_vec[lo:hi], b_vec[lo:hi])
-            for pos, k in enumerate(range(lo, hi)):
-                if diverged[pos].any():
-                    continue
+            live = [pos for pos in range(hi - lo) if not diverged[pos].any()]
+            if not live:
+                continue
+            selections = select_beta(
+                features[live], y,
+                betas=self.betas,
+                val_fraction=self.val_fraction,
+                n_classes=self.n_classes_,
+                seed=split_seed,
+            )
+            for pos, selection in zip(live, selections):
+                k = lo + pos
                 result = results[k]
-                selection = select_beta(
-                    features[pos], y,
-                    betas=self.betas,
-                    val_fraction=self.val_fraction,
-                    n_classes=self.n_classes_,
-                    seed=split_seed,
-                )
                 # rank through the shared selection rule (the test accuracy
                 # is deliberately absent here — the rule never consults it)
                 record = FixedParamsEvaluation(

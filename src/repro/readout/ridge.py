@@ -18,9 +18,21 @@ Conventions
   makes the paper's accuracy landscape depend on ``A`` (Fig. 6).  Full
   standardization (``standardize=True``) is available but would flatten
   the ``A`` axis of the landscape.
-* The normal equations use ``(X^T X + beta * n * I)`` — scaling the
-  regularizer by the sample count makes ``beta`` comparable across datasets
-  of different sizes.
+* The regularizer is ``beta * n`` — scaling it by the sample count makes
+  ``beta`` comparable across datasets of different sizes.
+* One solver, :func:`ridge_solve`, serves every ridge fit in the package.
+  It solves in the smaller Gram form: the dual ``x x^T + beta n I``
+  (``N x N``) when there are fewer samples than features — the DPRR
+  regime, e.g. ``N = 270`` series against ``N_r = 930`` features — and
+  the primal ``x^T x + beta n I`` (``N_r x N_r``) otherwise.  It runs on
+  numpy's own LAPACK (``np.linalg.solve``; least squares for a singular
+  system) and only on it: scipy bundles a second OpenBLAS, and the two
+  libraries' thread pools contending for the same cores cost several
+  times the solve.
+* Fits take a leading candidate axis: :func:`fit_ridge_sweep` and
+  :func:`select_beta` accept a ``(K, N, N_r)`` stack and return one
+  result per candidate, bit-identical to the 2-D call on each slice, so a
+  fused block of grid candidates scores its readouts in one call.
 * For model selection, scores are converted to probabilities with a softmax
   and scored by cross-entropy, mirroring the loss the backpropagation phase
   optimizes.
@@ -29,10 +41,9 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-import scipy.linalg
 
 from repro.data.preprocessing import stratified_split
 from repro.readout.softmax import cross_entropy, one_hot, softmax
@@ -47,6 +58,7 @@ __all__ = [
     "select_beta",
     "RidgeRegressor",
     "fit_ridge_regressor",
+    "ridge_solve",
 ]
 
 #: the paper's candidate regularization values
@@ -144,16 +156,88 @@ class RidgeModel:
         )
 
 
-def _center_or_standardize(
-    features: np.ndarray, standardize: bool
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    mean = features.mean(axis=0)
-    if standardize:
-        std = features.std(axis=0)
-        std = np.where(std < 1e-12, 1.0, std)
-    else:
-        std = np.ones(features.shape[1])
-    return (features - mean) / std, mean, std
+def _check_betas(betas: Sequence[float]) -> Tuple[float, ...]:
+    """Validate a ``beta`` sweep: a non-empty sequence of finite, positive values.
+
+    Returns the values as Python floats; raises ``ValueError`` naming the
+    first bad value.
+    """
+    values = tuple(float(beta) for beta in betas)
+    if not values:
+        raise ValueError("betas must be a non-empty sequence of positive values")
+    for beta in values:
+        if not (np.isfinite(beta) and beta > 0.0):
+            raise ValueError(f"beta must be finite and positive, got {beta}")
+    return values
+
+
+def _lu_solve(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Stacked ``lhs^-1 rhs`` on numpy's LAPACK, least squares per singular slice."""
+    try:
+        return np.linalg.solve(lhs, rhs)
+    except np.linalg.LinAlgError:
+        out = np.empty(lhs.shape[:-1] + rhs.shape[-1:])
+        for k in range(lhs.shape[0]):
+            try:
+                out[k] = np.linalg.solve(lhs[k:k + 1], rhs[k:k + 1])[0]
+            except np.linalg.LinAlgError:
+                out[k] = np.linalg.lstsq(lhs[k], rhs[k], rcond=None)[0]
+        return out
+
+
+def ridge_solve(x: np.ndarray, y: np.ndarray,
+                penalties: np.ndarray) -> np.ndarray:
+    """Ridge coefficients for a stack of problems and several penalties.
+
+    Solves ``min_w |x_k w - y_k|^2 + p |w|^2`` for every candidate ``k``
+    and every penalty row ``p`` — the one ridge solver of the package.
+
+    Parameters
+    ----------
+    x:
+        ``(K, N, d)`` design matrices (already centered, if wanted).
+    y:
+        ``(K, N, m)`` targets.
+    penalties:
+        ``(P, K)`` positive penalties, one row per sweep value and one
+        column per candidate.
+
+    Returns
+    -------
+    ``(P, K, d, m)`` coefficients.
+
+    The Gram form is picked by shape.  With fewer samples than features
+    (the DPRR regime: ``N_r = N_x (N_x + 1)`` against a few hundred
+    series) the dual ``w = x^T (x x^T + p I)^-1 y`` solves an ``N x N``
+    system; otherwise the primal ``(x^T x + p I)^-1 x^T y`` solves a
+    ``d x d`` one.  Both are exact rewritings of the same estimator.  The
+    Gram matrix is built once per stack and shared by every penalty.
+
+    Every product and solve is a 3-D ``matmul`` / ``np.linalg.solve``, so
+    the slices of a ``K``-stack are bit-identical to ``K = 1`` calls on
+    each slice; that is what keeps serial and fused candidate scoring
+    identical.  Only numpy's own LAPACK is used: scipy ships a second
+    OpenBLAS, and two BLAS thread pools contending for the same cores cost
+    several times the solve itself.
+    """
+    xt = x.transpose(0, 2, 1)
+    dual = x.shape[1] < x.shape[2]
+    gram = x @ xt if dual else xt @ x
+    rhs = y if dual else xt @ y
+    eye = np.eye(gram.shape[-1])
+    sol = np.concatenate([_lu_solve(gram + penalty[:, None, None] * eye, rhs)
+                          for penalty in penalties], axis=-1)
+    coef = xt @ sol if dual else sol              # (K, d, P * m)
+    coef = coef.reshape(coef.shape[:2] + (len(penalties), y.shape[-1]))
+    return np.ascontiguousarray(coef.transpose(2, 0, 1, 3))
+
+
+def _as_stack(features: np.ndarray) -> Tuple[np.ndarray, bool]:
+    """``(features as a (K, N, d) float64 stack, whether it was stacked)``."""
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim == 3:
+        return features, True
+    return np.atleast_2d(features)[np.newaxis], False
 
 
 def fit_ridge(
@@ -167,7 +251,7 @@ def fit_ridge(
     """Fit one ridge readout; see :func:`fit_ridge_sweep` for several betas."""
     return fit_ridge_sweep(
         features, labels, [beta], n_classes=n_classes, standardize=standardize
-    )[beta]
+    )[float(beta)]
 
 
 def fit_ridge_sweep(
@@ -177,59 +261,82 @@ def fit_ridge_sweep(
     *,
     n_classes: Optional[int] = None,
     standardize: bool = False,
-) -> Dict[float, RidgeModel]:
+) -> Union[Dict[float, RidgeModel], List[Dict[float, RidgeModel]]]:
     """Fit ridge readouts for several ``beta`` values, sharing the Gram matrix.
 
-    The Gram matrix ``X^T X`` and cross-moment ``X^T Y`` are computed once;
-    each ``beta`` then costs only one symmetric solve — this mirrors how a
-    careful grid-search implementation amortizes the per-point ridge cost.
+    The Gram matrix is computed once; each ``beta`` then costs one linear
+    solve — this mirrors how a careful grid-search implementation
+    amortizes the per-point ridge cost.  With fewer samples than features
+    (every DPRR readout of the paper's protocols) the solve is the dual
+    ``N x N`` system ``x x^T + beta N I``, not the ``N_r x N_r`` primal
+    one; see :func:`ridge_solve` for the form rule and why only numpy's
+    LAPACK runs it.
 
     Parameters
     ----------
     features:
-        ``(N, N_r)`` training representations.
+        ``(N, N_r)`` training representations, or a ``(K, N, N_r)`` stack
+        of K candidates' representations fitted in one call.
     labels:
-        ``(N,)`` integer labels.
+        ``(N,)`` integer labels (shared by a stack), or ``(K, N)`` labels
+        per stacked candidate.
     betas:
-        Regularization values (must be positive).
+        Regularization values (a non-empty sequence of finite, positive
+        values) shared by every candidate, or a ``(P, K)`` table giving
+        each stacked candidate its own P values (a refit at each row's
+        selected ``beta`` is one call).
     n_classes:
         Total class count; inferred as ``max(labels) + 1`` when omitted.
+
+    Returns
+    -------
+    ``{beta: RidgeModel}`` for 2-D features; one such dict per candidate
+    for a stack.  A stack's slices are bit-identical to 2-D calls on them.
     """
-    features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    labels = ensure_1d_labels(labels, n_samples=features.shape[0])
-    if not np.all(np.isfinite(features)):
+    x, stacked = _as_stack(features)
+    n_cand, n = x.shape[:2]
+    if np.ndim(betas) == 2:
+        table = np.asarray(betas, dtype=np.float64)
+        _check_betas(table.ravel())
+        if table.shape[1] != n_cand:
+            raise ValueError(f"a betas table needs one column per stacked "
+                             f"candidate ({n_cand}), got {table.shape[1]}")
+    else:
+        table = np.array(_check_betas(betas))[:, np.newaxis].repeat(n_cand, 1)
+    labels = np.asarray(labels)
+    if labels.ndim == 2:
+        if labels.shape != (n_cand, n):
+            raise ValueError(
+                f"stacked labels must be {(n_cand, n)}, got {labels.shape}")
+        labels = ensure_1d_labels(labels.ravel()).reshape(n_cand, n)
+    else:
+        labels = np.broadcast_to(ensure_1d_labels(labels, n_samples=n),
+                                 (n_cand, n))
+    if not np.all(np.isfinite(x)):
         raise ValueError("features contain non-finite values (diverged reservoir?)")
     if n_classes is None:
         n_classes = int(labels.max()) + 1
-    n = features.shape[0]
-    x, mean, std = _center_or_standardize(features, standardize)
-    targets = one_hot(labels, n_classes)
-    y_mean = targets.mean(axis=0)
-    y_c = targets - y_mean
+    mean = x.mean(axis=1)
+    x = x - mean[:, np.newaxis]
+    if standardize:
+        std = x.std(axis=1)
+        std = np.where(std < 1e-12, 1.0, std)
+        x /= std[:, np.newaxis]
+    else:
+        std = np.ones_like(mean)
+    targets = one_hot(labels.ravel(), n_classes).reshape(n_cand, n, n_classes)
+    y_mean = targets.mean(axis=1)
+    y_c = targets - y_mean[:, np.newaxis]
 
-    gram = x.T @ x
-    cross = x.T @ y_c
-    eye = np.eye(gram.shape[0])
-    models = {}
-    for beta in betas:
-        beta = float(beta)
-        if beta <= 0.0:
-            raise ValueError(f"beta must be positive, got {beta}")
-        lhs = gram + beta * n * eye
-        try:
-            cho = scipy.linalg.cho_factor(lhs, check_finite=False)
-            coef = scipy.linalg.cho_solve(cho, cross, check_finite=False)
-        except scipy.linalg.LinAlgError:
-            coef = np.linalg.lstsq(lhs, cross, rcond=None)[0]
-        models[beta] = RidgeModel(
-            beta=beta,
-            coef=coef,
-            intercept=y_mean,
-            feature_mean=mean,
-            feature_std=std,
-            n_classes=n_classes,
-        )
-    return models
+    coefs = ridge_solve(x, y_c, table * n)
+    sweeps = [
+        {float(table[i, k]): RidgeModel(
+            beta=float(table[i, k]), coef=coefs[i, k], intercept=y_mean[k],
+            feature_mean=mean[k], feature_std=std[k], n_classes=n_classes)
+         for i in range(table.shape[0])}
+        for k in range(n_cand)
+    ]
+    return sweeps if stacked else sweeps[0]
 
 
 @dataclass
@@ -246,6 +353,50 @@ class RidgeSelection:
         return self.val_losses[self.best_beta]
 
 
+def _split_rows(
+    labels: np.ndarray, val_fraction: float,
+    seed: Union[SeedLike, Sequence[SeedLike]], n_cand: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-candidate ``(fit_idx, val_idx)`` as ``(K, N_fit)``/``(K, N_val)``.
+
+    ``seed`` is one seed for a split shared by every row, or a list of
+    ``K`` per-row seeds (equal integer seeds share one split).  Split sizes
+    depend only on the class counts, so every row's split has one shape.
+    """
+    shared = not isinstance(seed, (list, tuple))
+    if not shared and len(seed) != n_cand:
+        raise ValueError(f"need one seed per stacked candidate ({n_cand}), "
+                         f"got {len(seed)}")
+    cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+
+    def split(row_seed):
+        key = int(row_seed) if isinstance(row_seed, (int, np.integer)) else None
+        if key in cache:
+            return cache[key]
+        fit_idx, val_idx = stratified_split(labels, val_fraction,
+                                            seed=ensure_rng(row_seed))
+        if val_idx.size == 0:
+            fit_idx = np.arange(labels.shape[0])
+            val_idx = fit_idx  # degenerate fallback: score on the fit data
+        if key is not None:
+            cache[key] = (fit_idx, val_idx)
+        return fit_idx, val_idx
+
+    if shared:
+        fit_idx, val_idx = split(seed)
+        return (np.broadcast_to(fit_idx, (n_cand, fit_idx.size)),
+                np.broadcast_to(val_idx, (n_cand, val_idx.size)))
+    parts = [split(s) for s in seed]
+    return np.stack([p[0] for p in parts]), np.stack([p[1] for p in parts])
+
+
+def _gather_rows(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``x[k, idx[k]]`` for every row ``k`` as one contiguous stack."""
+    if (idx == idx[:1]).all():
+        return x[:, idx[0]]
+    return x[np.arange(x.shape[0])[:, np.newaxis], idx]
+
+
 def select_beta(
     features: np.ndarray,
     labels: np.ndarray,
@@ -254,8 +405,8 @@ def select_beta(
     val_fraction: float = 0.2,
     n_classes: Optional[int] = None,
     standardize: bool = False,
-    seed: SeedLike = None,
-) -> RidgeSelection:
+    seed: Union[SeedLike, Sequence[SeedLike]] = None,
+) -> Union[RidgeSelection, List[RidgeSelection]]:
     """Select ``beta`` by holdout cross-entropy and refit on all data.
 
     A stratified ``val_fraction`` holdout of the training set scores each
@@ -268,38 +419,54 @@ def select_beta(
 
     When the holdout would be empty (tiny datasets where every class has one
     sample), selection falls back to training loss on the full set.
+
+    ``features`` may be one candidate's ``(N, N_r)`` matrix (returns one
+    :class:`RidgeSelection`) or a ``(K, N, N_r)`` stack of K candidates
+    sharing ``labels`` (returns K selections, each bit-identical to the
+    2-D call on its slice).  For a stack, ``seed`` is either one seed for a
+    split shared by all rows or a list of K per-row split seeds.
     """
-    features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    labels = ensure_1d_labels(labels, n_samples=features.shape[0])
+    betas = _check_betas(betas)
+    x, stacked = _as_stack(features)
+    n_cand = x.shape[0]
+    labels = ensure_1d_labels(labels, n_samples=x.shape[1])
     if n_classes is None:
         n_classes = int(labels.max()) + 1
-    rng = ensure_rng(seed)
-    fit_idx, val_idx = stratified_split(labels, val_fraction, seed=rng)
-    if val_idx.size == 0:
-        fit_idx = np.arange(features.shape[0])
-        val_idx = fit_idx  # degenerate fallback: score on the fit data
+    fit_idx, val_idx = _split_rows(labels, val_fraction, seed, n_cand)
 
-    sweep = fit_ridge_sweep(
-        features[fit_idx], labels[fit_idx], betas, n_classes=n_classes,
+    sweeps = fit_ridge_sweep(
+        _gather_rows(x, fit_idx), labels[fit_idx], betas, n_classes=n_classes,
         standardize=standardize,
     )
-    val_losses = {}
-    val_accs = {}
-    for beta, model in sweep.items():
-        val_losses[beta] = model.loss(features[val_idx], labels[val_idx])
-        val_accs[beta] = model.accuracy(features[val_idx], labels[val_idx])
-    best_beta = min(
-        val_losses, key=lambda b: (-val_accs[b], val_losses[b], b)
-    )
-    final = fit_ridge_sweep(
-        features, labels, [best_beta], n_classes=n_classes, standardize=standardize
-    )
-    return RidgeSelection(
-        best_beta=best_beta,
-        best_model=final[best_beta],
-        val_losses=val_losses,
-        val_accuracies=val_accs,
-    )
+    # all of a row's models share its centering and intercept, so the
+    # holdout is centered once and scored for every beta in one product
+    first = [sweep[betas[0]] for sweep in sweeps]
+    z = _gather_rows(x, val_idx) - np.stack(
+        [m.feature_mean for m in first])[:, np.newaxis]
+    if standardize:
+        z /= np.stack([m.feature_std for m in first])[:, np.newaxis]
+    coef = np.stack([np.concatenate([sweep[b].coef for b in betas], axis=1)
+                     for sweep in sweeps])
+    scores = (z @ coef).reshape(z.shape[:2] + (len(betas), n_classes))
+    scores += np.stack([m.intercept for m in first])[:, np.newaxis, np.newaxis]
+    y_val = labels[val_idx][:, :, np.newaxis]
+    targets = one_hot(y_val.ravel(), n_classes).reshape(y_val.shape + (-1,))
+    losses = cross_entropy(softmax(scores), targets).mean(axis=1)
+    accs = (scores.argmax(axis=-1) == y_val).mean(axis=1)
+    val_losses = [dict(zip(betas, map(float, row))) for row in losses]
+    val_accs = [dict(zip(betas, map(float, row))) for row in accs]
+    best = [min(loss, key=lambda b: (-acc[b], loss[b], b))
+            for loss, acc in zip(val_losses, val_accs)]
+
+    # refit every row on all data at its own winning beta, in one call
+    refit = fit_ridge_sweep(x, labels, np.array([best]), n_classes=n_classes,
+                            standardize=standardize)
+    selections = [
+        RidgeSelection(best_beta=best[k], best_model=refit[k][best[k]],
+                       val_losses=val_losses[k], val_accuracies=val_accs[k])
+        for k in range(n_cand)
+    ]
+    return selections if stacked else selections[0]
 
 
 @dataclass
@@ -346,8 +513,7 @@ def fit_ridge_regressor(
         raise ValueError(
             f"{targets.shape[0]} targets for {features.shape[0]} samples"
         )
-    if beta <= 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    (beta,) = _check_betas([beta])
     if not np.all(np.isfinite(features)):
         raise ValueError("features contain non-finite values")
     n = features.shape[0]
@@ -355,11 +521,7 @@ def fit_ridge_regressor(
     x = features - mean
     y_mean = targets.mean(axis=0)
     y_c = targets - y_mean
-    lhs = x.T @ x + beta * n * np.eye(x.shape[1])
-    try:
-        cho = scipy.linalg.cho_factor(lhs, check_finite=False)
-        coef = scipy.linalg.cho_solve(cho, x.T @ y_c, check_finite=False)
-    except scipy.linalg.LinAlgError:
-        coef = np.linalg.lstsq(lhs, x.T @ y_c, rcond=None)[0]
-    return RidgeRegressor(beta=float(beta), coef=coef, intercept=y_mean,
+    coef = ridge_solve(x[np.newaxis], y_c[np.newaxis],
+                       np.array([[beta * n]]))[0, 0]
+    return RidgeRegressor(beta=beta, coef=coef, intercept=y_mean,
                           feature_mean=mean)

@@ -20,8 +20,8 @@ Two flavors are provided, matching the literature:
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
+from repro.readout.ridge import ridge_solve
 from repro.reservoir.modular import ReservoirTrace
 
 __all__ = ["ModelSpace"]
@@ -81,26 +81,19 @@ class ModelSpace:
                 raise ValueError(
                     f"u must be (N, T, C) matching the trace, got {u.shape}"
                 )
-        out = []
-        eye = np.eye(nx + 1)
-        for i in range(n):
-            x_now = states[i, 1:-1, :]         # x(1) .. x(T-1)
-            design = np.concatenate(
-                [x_now, np.ones((x_now.shape[0], 1))], axis=1
-            )
-            if self.target == "states":
-                target = states[i, 2:, :]      # x(2) .. x(T)
-            else:
-                target = u[i, 1:, :]           # u(2) .. u(T)
-            lhs = design.T @ design + self.ridge * design.shape[0] * eye
-            rhs = design.T @ target
-            try:
-                cho = scipy.linalg.cho_factor(lhs, check_finite=False)
-                coef = scipy.linalg.cho_solve(cho, rhs, check_finite=False)
-            except scipy.linalg.LinAlgError:
-                coef = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
-            out.append(coef.T.ravel())
-        return np.asarray(out)
+        # one stacked fit: every sample's one-step model is a candidate row
+        x_now = states[:, 1:-1, :]             # x(1) .. x(T-1)
+        design = np.concatenate(
+            [x_now, np.ones(x_now.shape[:2] + (1,))], axis=2
+        )
+        if self.target == "states":
+            target = states[:, 2:, :]          # x(2) .. x(T)
+        else:
+            target = u[:, 1:, :]               # u(2) .. u(T)
+        penalty = np.full((1, n), self.ridge * design.shape[1])
+        coef = ridge_solve(design, np.asarray(target, dtype=np.float64),
+                           penalty)[0]
+        return coef.transpose(0, 2, 1).reshape(n, -1)
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"ModelSpace(ridge={self.ridge}, target={self.target!r})"
