@@ -18,6 +18,8 @@ from repro.backend.scan import (
     scan_crossover,
 )
 from repro.core.backprop import BackpropEngine
+from repro.core.trainer import BackpropTrainer, TrainerConfig
+from repro.data.preprocessing import ChannelStandardizer
 from repro.readout.ridge import PAPER_BETAS, fit_ridge_sweep
 from repro.readout.softmax import SoftmaxReadout, one_hot
 from repro.representation.dprr import DPRR
@@ -161,6 +163,37 @@ def test_backward_batched_vs_per_sample(benchmark, jpvow_small, rng):
     # runners where wall-clock ratios are unreliable
     floor = float(os.environ.get("REPRO_SPEEDUP_FLOOR", "3.0"))
     assert speedup >= floor, f"batched backward only {speedup:.1f}x faster"
+
+
+def test_per_sample_epoch(benchmark, jpvow_small):
+    """One epoch of the paper's per-sample SGD (``batch_size=1``).
+
+    Times a 1-epoch ``BackpropTrainer.fit`` on ``jpvow_small`` — the
+    forward, DPRR, softmax, backward and update of every sample — and
+    records microseconds per sample (best of 3) in ``extra_info``.  No
+    floor: this is the per-sample baseline the batched ratio above is
+    measured against.
+    """
+    data = jpvow_small
+    u = ChannelStandardizer().fit(data.u_train).transform(data.u_train)
+    dfr = ModularDFR(InputMask.binary(N_NODES, u.shape[2], seed=0))
+
+    def one_epoch():
+        trainer = BackpropTrainer(dfr, data.n_classes,
+                                  config=TrainerConfig(epochs=1), seed=0)
+        return trainer.fit(u, data.y_train)
+
+    timings = []
+    for _ in range(3):
+        start = time.perf_counter()
+        one_epoch()
+        timings.append(time.perf_counter() - start)
+    benchmark.extra_info["per_sample_us"] = min(timings) / u.shape[0] * 1e6
+    benchmark.extra_info["n_samples"] = u.shape[0]
+    benchmark.extra_info["series_length"] = u.shape[1]
+    result = benchmark.pedantic(one_epoch, rounds=1, iterations=1,
+                                warmup_rounds=0)
+    assert len(result.history) == 1
 
 
 def test_backward_batched_per_backend(benchmark, jpvow_small, rng):

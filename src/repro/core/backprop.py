@@ -26,8 +26,12 @@ Flattening node indices ``t = (k-1) N_x + n`` turns Eq. 30 into
 so, within one time step ``k``, ``g(k)`` solves a *linear backward
 recursion* in ``n`` with drive
 ``e(k)_n = bpv(k)_n + A phi'(s(k+1)_n) g(k+1)_n`` and boundary
-``B * g(k+1)_1`` — one reversed :func:`scipy.signal.lfilter` call per step,
-mirroring the forward pass.
+``B * g(k+1)_1``.  The batched pass runs that chain as one reversed
+first-order filter per step, mirroring the forward pass.  The per-sample
+pass (:func:`window_backward`) runs it as a scalar loop over at most
+``N_x`` values (:func:`backward_chain`): the same direct-form arithmetic
+as the reversed :func:`scipy.signal.lfilter` call it replaced, bit for
+bit, without that call's per-step overhead.
 
 Array backends
 --------------
@@ -41,7 +45,9 @@ variable (NumPy when unset); engine outputs always come back as NumPy
 arrays, so optimizer updates and telemetry are backend-agnostic.  The
 per-sample pass (:func:`reservoir_backward`, the paper's reference SGD
 protocol) deliberately stays on NumPy — it is the bit-pinned baseline every
-backend is validated against.
+backend is validated against.  :func:`reservoir_backward` validates its
+inputs and runs :func:`window_backward`; the per-sample trainer calls that
+kernel directly.
 """
 
 from __future__ import annotations
@@ -50,7 +56,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.signal import lfilter
 
 from repro.backend import default_backend, resolve_backend
 from repro.readout.softmax import SoftmaxReadout
@@ -63,6 +68,8 @@ __all__ = [
     "BackpropEngine",
     "reservoir_backward",
     "batch_reservoir_backward",
+    "backward_chain",
+    "window_backward",
 ]
 
 
@@ -142,8 +149,9 @@ def reservoir_backward(
     A, B:
         Reservoir parameters.
     n_steps:
-        Total series length ``T`` (needed to detect whether the window
-        touches the final step, where the Eq. 23 "next step" term vanishes).
+        Total series length ``T``; the window may not exceed it.  The
+        window always ends at the final step, where the Eq. 23 "next step"
+        term vanishes.
 
     Returns
     -------
@@ -168,39 +176,76 @@ def reservoir_backward(
             f"d_repr must have N_x(N_x+1) = {nx * (nx + 1)} entries, "
             f"got {d_repr.shape[0]}"
         )
+    return window_backward(window_states, window_pre, d_repr, float(A),
+                           float(B), nonlinearity)
+
+
+def backward_chain(drive: np.ndarray, B: float, z0: float) -> np.ndarray:
+    """The reversed Eq.-30 B-chain within one step, as a scalar recursion.
+
+    Solves ``g_n = drive_n + B g_{n+1}`` for ``n = N_x .. 1`` with
+    ``B g_{N_x+1} = z0``: bit for bit
+    ``lfilter([1], [1, -B], drive[::-1], zi=[z0])[0][::-1]``, including
+    the layout.  The loop is lfilter's direct-form-II-transposed
+    arithmetic for a first-order section, ``y = x + z``,
+    ``z = x*0 - y*(-B)``, in its operand order: the ``x*0`` term makes
+    inf and NaN propagate as lfilter propagates them, and the order of
+    the operands fixes which NaN a two-NaN sum returns.  The result is a
+    reversed view of a contiguous array, like lfilter's; the dot products
+    that follow take a different (and differently rounding) kernel on a
+    contiguous vector.
+    """
+    neg_b = -B
+    z = z0
+    out = []
+    for x in drive[::-1].tolist():
+        y = x + z
+        z = x * 0.0 - y * neg_b
+        out.append(y)
+    return np.array(out)[::-1]
+
+
+def window_backward(window_states: np.ndarray, window_pre: np.ndarray,
+                    d_repr: np.ndarray, A: float, B: float,
+                    nonlinearity: Nonlinearity) -> tuple:
+    """The arithmetic of :func:`reservoir_backward`, without validation.
+
+    ``window_states`` ``(window+1, N_x)`` and ``window_pre``
+    ``(window, N_x)`` float64 arrays, a flat float64 ``d_repr`` of
+    ``N_x (N_x+1)`` entries, and ``A``/``B`` as Python floats.
+    """
+    window, nx = window_pre.shape
     g_mat = d_repr[: nx * nx].reshape(nx, nx)
     g_sum = d_repr[nx * nx:]
 
-    b_poly = np.array([1.0, -B])
-    g_next = np.zeros(nx)        # g(k+1); zero beyond the final step
+    g_next = None                # g(k+1); zero beyond the final step
     d_a = 0.0
     d_b = 0.0
     state_grads = np.zeros((window, nx))
     dphi = nonlinearity.dphi
     phi = nonlinearity.phi
+    # x(k)_0 is x(k-1)_{N_x}: on the flattened window the chain
+    # predecessors of step k's nodes are one contiguous slice
+    flat_states = window_states.reshape(-1)
 
     # walk k = T, T-1, ..., T-window+1; idx indexes rows of the window arrays
     for idx in range(window - 1, -1, -1):
-        k_is_last = idx == window - 1  # does this row correspond to k = T?
         x_prev = window_states[idx]        # x(k-1)
-        x_here = window_states[idx + 1]    # x(k)
         # Eq. 23: contribution of x(k)_n through the DPRR entries
-        bpv = g_mat @ x_prev + g_sum
-        if not k_is_last:
-            x_next = window_states[idx + 2]
-            bpv = bpv + g_mat.T @ x_next
-        # Eq. 30, cross-step term A * phi'(s(k+1)) * g(k+1)
-        drive = bpv
-        if not k_is_last:
+        drive = g_mat @ x_prev + g_sum
+        if g_next is None:               # k = T: no next step
+            z0 = B * 0.0
+        else:
+            drive = drive + g_mat.T @ window_states[idx + 2]
+            # Eq. 30, cross-step term A * phi'(s(k+1)) * g(k+1)
             drive = drive + A * dphi(window_pre[idx + 1]) * g_next
+            z0 = B * float(g_next[0])
         # Eq. 30, B-chain within the step, boundary B * g(k+1)_1
-        zi = np.array([B * g_next[0]])
-        rev, _ = lfilter([1.0], b_poly, drive[::-1], zi=zi)
-        g_here = rev[::-1]
+        g_here = backward_chain(drive, B, z0)
         state_grads[idx] = g_here
         # Eqs. 31-32 restricted to the window (Eqs. 35-36 when window == 1)
         d_a += float(phi(window_pre[idx]) @ g_here)
-        x_left = np.concatenate(([x_prev[-1]], x_here[:-1]))
+        x_left = flat_states[(idx + 1) * nx - 1: (idx + 2) * nx - 1]
         d_b += float(x_left @ g_here)
         g_next = g_here
     return d_a, d_b, state_grads

@@ -38,6 +38,7 @@ optimizer driving that candidate alone (pinned by
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Optional, Sequence
 
 import numpy as np
@@ -52,6 +53,7 @@ __all__ = [
     "Adam",
     "get_optimizer",
     "clip_gradients",
+    "clip_global_norm",
 ]
 
 
@@ -150,16 +152,9 @@ def clip_gradients(grads: Dict[str, np.ndarray], max_norm: float,
     candidate's gradients alone.
     """
     if not stacked:
-        total = float(np.sqrt(sum(float(np.sum(g**2)) for g in grads.values())))
-        if max_norm is None or not np.isfinite(max_norm):
-            return total
-        if max_norm <= 0:
+        if max_norm is not None and np.isfinite(max_norm) and max_norm <= 0:
             raise ValueError(f"max_norm must be positive, got {max_norm}")
-        if total > max_norm and total > 0:
-            scale = max_norm / total
-            for g in grads.values():
-                g *= scale
-        return total
+        return clip_global_norm(grads.values(), max_norm)
 
     # per-candidate norms: reduce each gradient over its row tail (the
     # reshape keeps the reduction a contiguous last-axis sum, matching the
@@ -185,6 +180,23 @@ def clip_gradients(grads: Dict[str, np.ndarray], max_norm: float,
         for g in grads.values():
             # rows not clipped multiply by exactly 1.0 (bitwise identity)
             g *= scale.reshape(scale.shape + (1,) * (g.ndim - 1))
+    return total
+
+
+def clip_global_norm(grads, max_norm: Optional[float]) -> float:
+    """The arithmetic of :func:`clip_gradients` (scalar mode), unvalidated.
+
+    ``grads`` is an iterable of float arrays, scaled in place when their
+    joint L2 norm exceeds ``max_norm`` (``None``, or a positive float;
+    inf never clips).  Returns the pre-clipping norm.
+    """
+    grads = tuple(grads)
+    total = math.sqrt(sum(float(np.add.reduce(g**2, axis=None))
+                          for g in grads))
+    if max_norm is not None and total > max_norm and total > 0:
+        scale = max_norm / total
+        for g in grads:
+            g *= scale
     return total
 
 

@@ -22,6 +22,7 @@ counted rather than allowed to poison the parameters.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -29,11 +30,11 @@ from typing import List, Optional
 import numpy as np
 
 from repro.backend import resolve_backend
-from repro.core.backprop import BackpropEngine
-from repro.core.optimizer import StepSchedule, clip_gradients, get_optimizer
-from repro.readout.softmax import SoftmaxReadout, one_hot
-from repro.representation.dprr import DPRR
-from repro.reservoir.modular import ModularDFR
+from repro.core.backprop import BackpropEngine, window_backward
+from repro.core.optimizer import StepSchedule, clip_global_norm, get_optimizer
+from repro.readout.softmax import SoftmaxReadout, one_hot, sample_output_grads
+from repro.representation.dprr import DPRR, dprr_contract
+from repro.reservoir.modular import ModularDFR, _check_params, sweep_into
 from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.validation import as_batch, ensure_1d_labels
 
@@ -100,6 +101,11 @@ class TrainerConfig:
             raise ValueError(f"window must be None or >= 1, got {self.window}")
         if self.param_min <= 0 or self.param_max <= self.param_min:
             raise ValueError("need 0 < param_min < param_max")
+        if (self.grad_clip is not None and np.isfinite(self.grad_clip)
+                and self.grad_clip <= 0):
+            raise ValueError(
+                f"grad_clip must be None or positive, got {self.grad_clip}"
+            )
         if not 0.0 < self.divergence_shrink < 1.0:
             raise ValueError(
                 f"divergence_shrink must lie in (0, 1), got {self.divergence_shrink}"
@@ -133,6 +139,22 @@ class TrainingResult:
     @property
     def final_loss(self) -> float:
         return self.history[-1].mean_loss if self.history else float("nan")
+
+
+class _SampleScratch:
+    """Per-fit buffers of the per-sample step: one sample's trace.
+
+    ``states`` keeps its zero initial row (the forward fills rows
+    ``1..T``); the window arrays are fixed views of the last ``window``
+    steps, exactly what ``ReservoirTrace.final_window`` would slice.
+    """
+
+    def __init__(self, n_nodes: int, t_len: int, window: int, scale: float):
+        self.states = np.zeros((1, t_len + 1, n_nodes))
+        self.pre = np.empty((1, t_len, n_nodes))
+        self.window_states = self.states[0, -(window + 1):, :]
+        self.window_pre = self.pre[0, -window:, :]
+        self.scale = scale
 
 
 class BackpropTrainer:
@@ -190,21 +212,20 @@ class BackpropTrainer:
         np.clip(params["B"], self.config.param_min, self.config.param_max,
                 out=params["B"])
 
-    def _apply_update(self, params, grads, optimizer, lr_r: float,
-                      lr_o: float) -> None:
+    def _apply_update(self, params, grads, optimizer, lrs) -> None:
         """Clip, step and clamp — shared by both execution paths."""
         cfg = self.config
-        clip_gradients(grads, cfg.grad_clip)
+        clip_global_norm(grads.values(), cfg.grad_clip)
+        # ndarray.clip is the ufunc np.clip dispatches to, without the
+        # dispatch: these four run on 0-d arrays once per update
         if cfg.reservoir_grad_clip is not None:
-            np.clip(grads["A"], -cfg.reservoir_grad_clip,
-                    cfg.reservoir_grad_clip, out=grads["A"])
-            np.clip(grads["B"], -cfg.reservoir_grad_clip,
-                    cfg.reservoir_grad_clip, out=grads["B"])
-        optimizer.step(
-            params, grads, {"A": lr_r, "B": lr_r, "W": lr_o, "b": lr_o}
-        )
-        np.clip(params["A"], cfg.param_min, cfg.param_max, out=params["A"])
-        np.clip(params["B"], cfg.param_min, cfg.param_max, out=params["B"])
+            grads["A"].clip(-cfg.reservoir_grad_clip, cfg.reservoir_grad_clip,
+                            out=grads["A"])
+            grads["B"].clip(-cfg.reservoir_grad_clip, cfg.reservoir_grad_clip,
+                            out=grads["B"])
+        optimizer.step(params, grads, lrs)
+        params["A"].clip(cfg.param_min, cfg.param_max, out=params["A"])
+        params["B"].clip(cfg.param_min, cfg.param_max, out=params["B"])
 
     def fit(self, u: np.ndarray, y: np.ndarray) -> TrainingResult:
         """Run the full SGD protocol on a training set.
@@ -247,9 +268,16 @@ class BackpropTrainer:
         use_full_trace = cfg.window is None
 
         backward_window = t_len if use_full_trace else window
-        run_epoch = (
-            self._epoch_per_sample if cfg.batch_size == 1 else self._epoch_batched
-        )
+        if cfg.batch_size == 1:
+            run_epoch = functools.partial(
+                self._epoch_per_sample,
+                scratch=_SampleScratch(self.reservoir.n_nodes, t_len,
+                                       backward_window,
+                                       self.dprr.scale(t_len)))
+        else:
+            run_epoch = functools.partial(
+                self._epoch_batched, backward_window=backward_window,
+                t_len=t_len)
 
         history: List[EpochStats] = []
         for epoch in range(1, cfg.epochs + 1):
@@ -258,9 +286,9 @@ class BackpropTrainer:
             order = self.rng.permutation(n_samples) if cfg.shuffle else np.arange(
                 n_samples
             )
+            lrs = {"A": lr_r, "B": lr_r, "W": lr_o, "b": lr_o}
             losses, n_correct, n_skipped = run_epoch(
-                u, y, targets, order, params, readout, optimizer,
-                backward_window, t_len, lr_r, lr_o,
+                u, y, targets, order, params, readout, optimizer, lrs,
             )
             n_seen = len(losses)
             history.append(
@@ -284,59 +312,66 @@ class BackpropTrainer:
         )
 
     def _epoch_per_sample(self, u, y, targets, order, params, readout,
-                          optimizer, backward_window, t_len, lr_r, lr_o):
+                          optimizer, lrs, *, scratch):
         """One epoch of the paper's per-sample SGD (``batch_size=1``).
 
-        This is the seed training loop verbatim; the ``batch_size=1``
-        trajectory is pinned bit-for-bit by regression tests, so any change
-        here must keep the arithmetic (and its order) intact.
+        Each sample is one straight-line step on the layers' arithmetic
+        kernels: forward (:func:`~repro.reservoir.modular.sweep_into`) →
+        DPRR (:func:`~repro.representation.dprr.dprr_contract`) → softmax
+        readout (:func:`~repro.readout.softmax.sample_output_grads`) →
+        truncated backward
+        (:func:`~repro.core.backprop.window_backward`) → clip/step.  The
+        public layer calls (``ModularDFR.run``, ``DPRR.features``,
+        ``SoftmaxReadout.loss_and_grads``, ``reservoir_backward``,
+        ``clip_gradients``) validate their inputs and then run these same
+        kernels, so the step skips only validation; buffers that do not
+        change between samples come from ``scratch``, built once per fit.
+
+        The full trace is computed for speed (the identity shape admits a
+        single-filter forward); the backward pass then consumes only the
+        truncation window, so the *mathematics* is identical to the
+        memory-bounded streaming execution (``ModularDFR.run_streaming``),
+        as pinned by tests.  The step always runs on NumPy: it is the
+        paper's reference protocol, and its trajectory is pinned bit for
+        bit by regression tests regardless of ``REPRO_BACKEND`` — any
+        change here must keep the arithmetic (and its order) intact.
         """
+        xb = self._numpy
+        mask = self.reservoir.mask
+        nonlinearity = self.reservoir.nonlinearity
+        states, pre, scale = scratch.states, scratch.pre, scratch.scale
         losses = []
         n_correct = 0
         n_skipped = 0
         for idx in order:
-            a_val = float(params["A"])
-            b_val = float(params["B"])
-            sample = u[idx: idx + 1]
-            # The full trace is computed for speed (the identity shape
-            # admits a single-filter forward); the backward pass then
-            # consumes only the truncation window, so the *mathematics*
-            # is identical to the memory-bounded streaming execution
-            # (ModularDFR.run_streaming), as pinned by tests.  The NumPy
-            # backend is forced here: this loop is the paper's reference
-            # protocol, pinned bit-for-bit regardless of REPRO_BACKEND.
-            trace = self.reservoir.run(sample, a_val, b_val,
-                                       backend=self._numpy)
-            if trace.diverged[0]:
+            # same finiteness check (and error) as ModularDFR.run
+            a_val, b_val, _ = _check_params(params["A"], params["B"])
+            j = xb.masked_drive(mask, u[idx: idx + 1])
+            if sweep_into(xb, nonlinearity, j, a_val, b_val, states, pre)[0]:
                 n_skipped += 1
                 self._pull_back(params)
                 continue
-            feats = self.dprr.features(trace)[0]
-            win = trace.final_window(backward_window, copy=False)
-            grads_out = self.engine.sample_gradients(
-                win.window_states[0],
-                win.window_pre_activations[0],
-                feats,
-                readout,
-                targets[idx],
-                a_val,
-                b_val,
-                n_steps=t_len,
-            )
-            losses.append(grads_out.loss)
-            if int(np.argmax(grads_out.probs)) == y[idx]:
+            feats = dprr_contract(xb, states, scale)[0]
+            out = sample_output_grads(readout.weights, readout.bias, feats,
+                                      targets[idx])
+            # undo the DPRR normalization so d_repr is w.r.t. the raw sums
+            d_a, d_b, _ = window_backward(
+                scratch.window_states, scratch.window_pre,
+                out.d_features * scale, a_val, b_val, nonlinearity)
+            losses.append(out.loss)
+            if out.probs.argmax() == y[idx]:
                 n_correct += 1
             grads = {
-                "A": np.array(grads_out.d_A),
-                "B": np.array(grads_out.d_B),
-                "W": grads_out.d_weights,
-                "b": grads_out.d_bias,
+                "A": np.array(d_a),
+                "B": np.array(d_b),
+                "W": out.d_weights,
+                "b": out.d_bias,
             }
-            self._apply_update(params, grads, optimizer, lr_r, lr_o)
+            self._apply_update(params, grads, optimizer, lrs)
         return losses, n_correct, n_skipped
 
     def _epoch_batched(self, u, y, targets, order, params, readout,
-                       optimizer, backward_window, t_len, lr_r, lr_o):
+                       optimizer, lrs, *, backward_window, t_len):
         """One epoch of minibatch SGD through the vectorized engine.
 
         Every minibatch shares one ``(A, B)`` snapshot for its forward and
@@ -401,7 +436,7 @@ class BackpropTrainer:
                 "W": grads_out.d_weights,
                 "b": grads_out.d_bias,
             }
-            self._apply_update(params, grads, optimizer, lr_r, lr_o)
+            self._apply_update(params, grads, optimizer, lrs)
         return losses, n_correct, n_skipped
 
     def __repr__(self) -> str:  # pragma: no cover - trivial

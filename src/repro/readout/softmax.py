@@ -82,6 +82,26 @@ def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
     return out
 
 
+def sample_output_grads(weights: np.ndarray, bias: np.ndarray, r: np.ndarray,
+                        d: np.ndarray) -> "OutputGradients":
+    """The arithmetic of :meth:`SoftmaxReadout.loss_and_grads`, unvalidated.
+
+    ``weights`` ``(N_y, N_r)``, ``bias`` ``(N_y,)``, one float64 feature
+    vector ``r`` ``(N_r,)`` and one-hot target ``d`` ``(N_y,)``.
+    """
+    z = weights @ r + bias
+    probs = softmax(z)
+    loss = float(cross_entropy(probs[np.newaxis], d[np.newaxis])[0])
+    delta = probs - d                          # Eq. 16 (w.r.t. pre-softmax z)
+    return OutputGradients(
+        loss=loss,
+        probs=probs,
+        d_weights=delta[:, np.newaxis] * r,    # Eq. 17, np.outer(delta, r)
+        d_bias=delta,                          # Eq. 17
+        d_features=weights.T @ delta,          # Eq. 17
+    )
+
+
 @dataclass
 class OutputGradients:
     """Closed-form gradients of the output layer for one sample."""
@@ -177,17 +197,7 @@ class SoftmaxReadout:
             raise ValueError(
                 f"target size {d.shape[0]} != class count {self.n_classes}"
             )
-        z = self.weights @ r + self.bias
-        probs = softmax(z)
-        loss = float(cross_entropy(probs[np.newaxis], d[np.newaxis])[0])
-        delta = probs - d                      # Eq. 16 (w.r.t. pre-softmax z)
-        return OutputGradients(
-            loss=loss,
-            probs=probs,
-            d_weights=np.outer(delta, r),      # Eq. 17
-            d_bias=delta,                      # Eq. 17
-            d_features=self.weights.T @ delta,  # Eq. 17
-        )
+        return sample_output_grads(self.weights, self.bias, r, d)
 
     def batch_loss_and_grads(
         self, features: np.ndarray, targets_onehot: np.ndarray,

@@ -115,15 +115,25 @@ class DPRR:
         t_len = states.shape[-2] - 1
         if t_len < 1:
             raise ValueError("need at least one time step")
-        x_k = states[..., 1:, :]   # x(1) .. x(T)
-        x_prev = states[..., :-1, :]  # x(0) .. x(T-1)
-        # the ellipsis covers the sample axis — and, for a stacked trace,
-        # the candidate axis in front of it — in one contraction
-        p_mat = xb.einsum("...ti,...tj->...ij", x_k, x_prev)
-        s_vec = xb.sum(x_k, axis=-2)
-        p_flat = p_mat.reshape(tuple(p_mat.shape[:-2]) + (-1,))
-        raw = xb.concatenate([p_flat, s_vec], axis=-1)
-        return raw * self.scale(t_len)
+        return dprr_contract(xb, states, self.scale(t_len))
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"DPRR(normalize={self.normalize!r})"
+
+
+def dprr_contract(xb, states, scale: float):
+    """The DPRR arithmetic of :meth:`DPRR.features`, without validation.
+
+    ``states`` is a ``(..., T+1, N_x)`` array of backend ``xb`` including
+    the zero initial row; returns ``(..., N_x (N_x+1))`` features times
+    ``scale``.
+    """
+    x_k = states[..., 1:, :]   # x(1) .. x(T)
+    x_prev = states[..., :-1, :]  # x(0) .. x(T-1)
+    # the ellipsis covers the sample axis — and, for a stacked trace,
+    # the candidate axis in front of it — in one contraction
+    p_mat = xb.einsum("...ti,...tj->...ij", x_k, x_prev)
+    s_vec = xb.sum(x_k, axis=-2)
+    p_flat = p_mat.reshape(tuple(p_mat.shape[:-2]) + (-1,))
+    raw = xb.concatenate([p_flat, s_vec], axis=-1)
+    return raw * scale

@@ -59,6 +59,7 @@ and compute the same trajectory through the per-step first-order chain.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -135,9 +136,9 @@ class ReservoirTrace:
         the same window (tests pin this equivalence).
 
         With ``copy=False`` the result holds read-only *views* into this
-        trace instead of fresh arrays — the trainer's hot loop takes this
-        path, since it slices every sample every epoch and never mutates the
-        window.
+        trace instead of fresh arrays — the batched trainer takes this
+        path, since it slices every minibatch every epoch and never mutates
+        the window.
         """
         window = _check_window(window, self.n_steps)
         window_states = self.states[..., -(window + 1):, :]
@@ -290,49 +291,12 @@ class ModularDFR:
         xb = self.backend if backend is None else resolve_backend(backend)
         j = xb.masked_drive(self.mask, u)  # (N, T, N_x)
         n, t_len, nx = j.shape
-        nonlinearity = self.nonlinearity
-        stacked = n_cand is not None
-        lead = (n_cand, n) if stacked else (n,)
-
+        lead = (n_cand, n) if n_cand is not None else (n,)
         states = xb.zeros(lead + (t_len + 1, nx))
         pre = xb.empty(lead + (t_len, nx))
-        with xb.errstate():
-            if isinstance(nonlinearity, Identity) and xb.has_general_lfilter:
-                # Identity fast path: on the flat chain t = (k-1) N_x + n the
-                # whole trajectory solves ONE linear recurrence
-                #   x_t = A j_t + B x_{t-1} + A x_{t-N_x},
-                # i.e. a single IIR filter over T*N_x samples per series.
-                # The filter coefficients depend on the candidate, so a
-                # stacked sweep loops candidates here — each iteration is
-                # the identical scalar call (bit-identical rows), and the
-                # masked drive above is still shared by all of them.
-                j_flat = j.reshape(n, t_len * nx)
-                for a_val, b_val, out in (
-                    zip(A, B, states) if stacked else ((A, B, states),)
-                ):
-                    a_poly = np.zeros(nx + 1)
-                    a_poly[0] = 1.0
-                    a_poly[1] -= b_val
-                    a_poly[nx] -= a_val
-                    x_flat = xb.lfilter_general([a_val], a_poly, j_flat, axis=-1)
-                    out[:, 1:, :] = x_flat.reshape(n, t_len, nx)
-                pre[:] = j + states[..., :-1, :]
-            else:
-                a_mul = xb.asarray(A)[:, None, None] if stacked else A
-                b_mul = xb.asarray(B)[:, None] if stacked else B
-                for k in range(t_len):
-                    s, c, zi = xb.fused_filter_prep(
-                        nonlinearity, j[:, k, :], states[..., k, :],
-                        a_mul, b_mul)
-                    pre[..., k, :] = s
-                    if stacked:
-                        states[..., k + 1, :] = xb.first_order_filter_stacked(
-                            c, B, zi)
-                    else:
-                        states[..., k + 1, :] = xb.first_order_filter(c, B, zi)
-        diverged = _divergence_flags(states.reshape(-1, (t_len + 1) * nx), xb)
+        diverged = sweep_into(xb, self.nonlinearity, j, A, B, states, pre)
         return ReservoirTrace(states=states, pre_activations=pre,
-                              diverged=diverged.reshape(lead))
+                              diverged=diverged)
 
     def run_streaming(
         self, u: np.ndarray, A, B, *, window: int = 1,
@@ -435,7 +399,7 @@ def _check_params(A, B) -> tuple:
     if np.ndim(A) == 0 and np.ndim(B) == 0:
         A = float(A)
         B = float(B)
-        if not np.isfinite(A) or not np.isfinite(B):
+        if not math.isfinite(A) or not math.isfinite(B):
             raise ValueError(f"A and B must be finite, got A={A!r}, B={B!r}")
         return A, B, None
     A = np.atleast_1d(np.asarray(A, dtype=np.float64))
@@ -457,6 +421,58 @@ def _check_params(A, B) -> tuple:
     if not (np.isfinite(A).all() and np.isfinite(B).all()):
         raise ValueError("all A and B candidates must be finite")
     return A, B, A.shape[0]
+
+
+def sweep_into(xb: ArrayBackend, nonlinearity: Nonlinearity, j, A, B,
+               states, pre) -> np.ndarray:
+    """The forward arithmetic of :meth:`ModularDFR.run`, into given buffers.
+
+    No validation: ``j`` is the ``(N, T, N_x)`` masked drive, ``A``/``B``
+    are finite scalars or aligned ``(K,)`` vectors (as
+    :func:`_check_params` returns them), ``states`` is a
+    ``lead + (T+1, N_x)`` array of the backend whose initial row
+    ``states[..., 0, :]`` is zero and ``pre`` a ``lead + (T, N_x)`` array,
+    with ``lead`` ``(N,)`` or ``(K, N)``.  Fills ``states[..., 1:, :]``
+    and ``pre`` and returns the ``lead``-shaped NumPy divergence flags.
+    """
+    n, t_len, nx = j.shape
+    stacked = states.ndim == 4
+    with xb.errstate():
+        if isinstance(nonlinearity, Identity) and xb.has_general_lfilter:
+            # Identity fast path: on the flat chain t = (k-1) N_x + n the
+            # whole trajectory solves ONE linear recurrence
+            #   x_t = A j_t + B x_{t-1} + A x_{t-N_x},
+            # i.e. a single IIR filter over T*N_x samples per series.
+            # The filter coefficients depend on the candidate, so a
+            # stacked sweep loops candidates here — each iteration is
+            # the identical scalar call (bit-identical rows), and the
+            # masked drive is shared by all of them.
+            j_flat = j.reshape(n, t_len * nx)
+            for a_val, b_val, out in (
+                zip(A, B, states) if stacked else ((A, B, states),)
+            ):
+                a_poly = np.zeros(nx + 1)
+                a_poly[0] = 1.0
+                a_poly[1] -= b_val
+                a_poly[nx] -= a_val
+                x_flat = xb.lfilter_general([a_val], a_poly, j_flat, axis=-1)
+                out[:, 1:, :] = x_flat.reshape(n, t_len, nx)
+            pre[:] = j + states[..., :-1, :]
+        else:
+            a_mul = xb.asarray(A)[:, None, None] if stacked else A
+            b_mul = xb.asarray(B)[:, None] if stacked else B
+            for k in range(t_len):
+                s, c, zi = xb.fused_filter_prep(
+                    nonlinearity, j[:, k, :], states[..., k, :],
+                    a_mul, b_mul)
+                pre[..., k, :] = s
+                if stacked:
+                    states[..., k + 1, :] = xb.first_order_filter_stacked(
+                        c, B, zi)
+                else:
+                    states[..., k + 1, :] = xb.first_order_filter(c, B, zi)
+    diverged = _divergence_flags(states.reshape(-1, (t_len + 1) * nx), xb)
+    return diverged.reshape(states.shape[:-2])
 
 
 def _resume_state(xb, resume: StreamingResult, window: int, lead: tuple,

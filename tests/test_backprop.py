@@ -7,9 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import lfilter
 
 from repro.autodiff.dfr_graph import dfr_loss_gradients
-from repro.core.backprop import BackpropEngine, reservoir_backward
+from repro.core.backprop import (
+    BackpropEngine,
+    backward_chain,
+    reservoir_backward,
+)
 from repro.representation.dprr import DPRR
 from repro.reservoir.modular import ModularDFR
 from repro.reservoir.nonlinearity import get_nonlinearity
@@ -288,3 +293,103 @@ class TestValidation:
     def test_engine_rejects_bad_window(self):
         with pytest.raises(ValueError):
             BackpropEngine(window=0)
+
+
+def _lfilter_chain(drive, B, z0):
+    """The reversed first-order lfilter call the backward chain replaces."""
+    return lfilter([1.0], np.array([1.0, -B]), drive[::-1],
+                   zi=np.array([z0]))[0][::-1]
+
+
+def _lfilter_reservoir_backward(window_states, window_pre, d_repr, A, B,
+                                nonlinearity):
+    """The per-step lfilter form of :func:`reservoir_backward`, kept as its
+    bitwise oracle."""
+    window, nx = window_pre.shape
+    g_mat = d_repr[: nx * nx].reshape(nx, nx)
+    g_sum = d_repr[nx * nx:]
+    g_next = np.zeros(nx)
+    d_a = 0.0
+    d_b = 0.0
+    state_grads = np.zeros((window, nx))
+    for idx in range(window - 1, -1, -1):
+        k_is_last = idx == window - 1
+        x_prev = window_states[idx]
+        x_here = window_states[idx + 1]
+        drive = g_mat @ x_prev + g_sum
+        if not k_is_last:
+            drive = drive + g_mat.T @ window_states[idx + 2]
+            drive = drive + A * nonlinearity.dphi(window_pre[idx + 1]) * g_next
+        g_here = _lfilter_chain(drive, B, B * g_next[0])
+        state_grads[idx] = g_here
+        d_a += float(nonlinearity.phi(window_pre[idx]) @ g_here)
+        x_left = np.concatenate(([x_prev[-1]], x_here[:-1]))
+        d_b += float(x_left @ g_here)
+        g_next = g_here
+    return d_a, d_b, state_grads
+
+
+def _same_bits(got, want):
+    assert got.strides == want.strides
+    assert got.tobytes() == want.tobytes()
+
+
+class TestBackwardChain:
+    """The scalar B-chain equals the reversed lfilter call bit for bit —
+    values, NaN signs and the reversed-view layout."""
+
+    @pytest.mark.parametrize("n", range(1, 31))
+    def test_random_drives(self, rng, n):
+        for scale in (1e-3, 1.0, 1e3):
+            drive = rng.normal(scale=scale, size=n)
+            for B in (0.05, 0.5623413251903491, float(rng.uniform(-1, 1))):
+                _same_bits(backward_chain(drive, B, 0.0),
+                           _lfilter_chain(drive, B, 0.0))
+
+    def test_nonzero_boundary(self, rng):
+        for n in (1, 2, 7, 30):
+            drive = rng.normal(size=n)
+            for z0 in (float(rng.normal()), -3.5, 1e-300, 1e300):
+                _same_bits(backward_chain(drive, 0.3, z0),
+                           _lfilter_chain(drive, 0.3, z0))
+
+    def test_signed_zeros(self):
+        drives = [np.array([0.0, -0.0, 0.0]), np.array([-0.0, -0.0]),
+                  np.array([-0.0]), np.array([1.0, -0.0, -1.0, 0.0])]
+        for drive in drives:
+            for B in (0.0, -0.0, 0.25, -0.25):
+                for z0 in (0.0, -0.0):
+                    _same_bits(backward_chain(drive, B, z0),
+                               _lfilter_chain(drive, B, z0))
+
+    def test_inf_and_nan_propagate_like_lfilter(self, rng):
+        specials = np.array([np.inf, -np.inf, np.nan, 0.0, -0.0, 1e308])
+        for trial in range(200):
+            n = int(rng.integers(1, 31))
+            drive = rng.normal(size=n)
+            hit = rng.integers(0, n, size=int(rng.integers(1, n + 1)))
+            drive[hit] = rng.choice(specials, size=hit.shape[0])
+            B = float(rng.choice([0.3, -0.7, 1e200]))
+            z0 = float(rng.choice([0.0, -0.0, 2.0, np.inf, -np.inf, np.nan]))
+            _same_bits(backward_chain(drive, B, z0),
+                       _lfilter_chain(drive, B, z0))
+
+    @pytest.mark.parametrize("nonlinearity", ["identity", "tanh",
+                                              "mackey-glass"])
+    @pytest.mark.parametrize("window", [1, 3, None])
+    def test_reservoir_backward_matches_lfilter_form(self, rng, nonlinearity,
+                                                     window):
+        inst = small_instance(rng, n_nodes=5, n_steps=7,
+                              nonlinearity=nonlinearity)
+        trace = inst["dfr"].run(inst["u"], inst["A"], inst["B"])
+        t_len = trace.n_steps
+        win = trace.final_window(t_len if window is None else window)
+        nl = get_nonlinearity(nonlinearity)
+        d_repr = rng.normal(size=5 * 6)
+        args = (win.window_states[0], win.window_pre_activations[0], d_repr,
+                inst["A"], inst["B"])
+        d_a, d_b, grads = reservoir_backward(*args, n_steps=t_len,
+                                             nonlinearity=nl)
+        want_a, want_b, want_grads = _lfilter_reservoir_backward(*args, nl)
+        assert (d_a, d_b) == (want_a, want_b)
+        _same_bits(grads, want_grads)

@@ -36,10 +36,11 @@ def toy():
     return data, std.transform(data.u_train)
 
 
-def _fit_toy(toy, **config_kwargs):
+def _fit_toy(toy, nonlinearity=None, **config_kwargs):
     data, u_train = toy
     mask = InputMask.binary(8, 2, seed=0)
-    trainer = BackpropTrainer(ModularDFR(mask), n_classes=3,
+    trainer = BackpropTrainer(ModularDFR(mask, nonlinearity=nonlinearity),
+                              n_classes=3,
                               config=TrainerConfig(**config_kwargs), seed=0)
     return trainer.fit(u_train, data.y_train)
 
@@ -98,6 +99,57 @@ class TestSeedTrajectoryPin:
                 (epoch, loss, acc, a, b)
         assert float(np.abs(result.readout.weights).sum()) == \
             self.SEED_ABS_WEIGHT_SUM_FULL
+
+    #: per-sample configurations the two trajectories above miss:
+    #: name -> (nonlinearity, TrainerConfig kwargs,
+    #:          [(mean_loss, accuracy, A, B, n_skipped) per epoch],
+    #:          sum |W| after the fit); recorded from the lfilter-based
+    #:          per-sample loop, full float repr
+    EXTRA_PINS = {
+        # window=2: a non-last backward step (the G^T x(k+1) and
+        # A phi'(s(k+1)) g(k+1) terms), a non-zero chain boundary and a
+        # non-trivial dphi
+        "tanh_window2": ("tanh", dict(epochs=3, window=2), [
+            (34.14348350288073, 0.26666666666666666,
+             0.5623413251903491, 0.5623376253673895, 0),
+            (30.475363815304288, 0.4222222222222222,
+             0.5623413251903491, 0.5623413251903491, 0),
+            (41.91923787147159, 0.3333333333333333, 1e-06, 1e-06, 0),
+        ], 278.4136275982754),
+        "momentum": (None, dict(epochs=3, optimizer="momentum"), [
+            (92.35140014972058, 0.3333333333333333,
+             0.4074295467047785, 1e-06, 0),
+            (80.89790597906148, 0.4444444444444444, 1e-06, 1e-06, 0),
+            (162.8721409939069, 0.5111111111111111,
+             0.37981221885253624, 0.15456313721500392, 0),
+        ], 1479.4594686115017),
+        "adam": (None, dict(epochs=3, optimizer="adam"), [
+            (157.24268674845842, 0.35555555555555557,
+             0.04268779676571119, 0.3181151867746836, 0),
+            (161.57738684487816, 0.5777777777777777,
+             0.5623413251903491, 0.5623413251903491, 0),
+            (44.09615225448094, 0.24444444444444444, 1e-06, 1e-06, 0),
+        ], 1092.640067156347),
+        # starts in the unstable corner: one forward pass diverges and is
+        # skipped (pull-back), and the gradient norm overflows to inf
+        "diverges": (None, dict(epochs=2, init_A=3.0, init_B=3.0,
+                                param_max=4.0), [
+            (219.5285168069158, 0.3409090909090909,
+             1.9259103067787384, 1.0000267720034426, 1),
+            (228.83786008340653, 0.4222222222222222,
+             1.3392793988023437, 0.0391865186102169, 0),
+        ], 273.2245282297796),
+    }
+
+    @pytest.mark.parametrize("name", sorted(EXTRA_PINS))
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_extra_per_sample_trajectories_identical(self, toy, name):
+        nonlinearity, kwargs, history, abs_weight_sum = self.EXTRA_PINS[name]
+        result = _fit_toy(toy, nonlinearity, **kwargs)
+        got = [(h.mean_loss, h.accuracy, h.A, h.B, h.n_skipped)
+               for h in result.history]
+        assert got == history
+        assert float(np.abs(result.readout.weights).sum()) == abs_weight_sum
 
     def test_explicit_batch_size_1_is_default(self, toy):
         r_default = _fit_toy(toy, epochs=2)

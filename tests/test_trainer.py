@@ -104,18 +104,21 @@ class TestGuards:
         u = rng.normal(size=(12, 60, 1))
         y = rng.integers(0, 2, size=12)
         mask = InputMask.binary(6, 1, seed=0)
+        # A = B = 3 is far outside the stable region: the first forward
+        # passes diverge
         config = TrainerConfig(
-            epochs=2, init_A=0.56, init_B=0.56, param_max=0.99
+            epochs=2, init_A=3.0, init_B=3.0, param_max=4.0
         )
         trainer = BackpropTrainer(ModularDFR(mask), n_classes=2,
                                   config=config, seed=0)
         result = trainer.fit(u, y)
-        # some samples may have been skipped, but params must end finite
-        # and strictly inside the box
+        # diverged samples were skipped, and params end finite and pulled
+        # back inside the box
         assert np.isfinite(result.A) and np.isfinite(result.B)
-        total_skipped = sum(h.n_skipped for h in result.history)
-        if total_skipped:
-            assert result.A < 0.56  # pull-back actually happened
+        assert result.history[0].n_skipped > 0
+        assert result.history[0].A < 3.0  # pull-back actually happened
+        assert config.param_min <= result.A <= config.param_max
+        assert config.param_min <= result.B <= config.param_max
 
     def test_epoch_and_window_validation(self):
         with pytest.raises(ValueError):
