@@ -6,7 +6,10 @@ single fused :class:`~repro.core.population.PopulationTrainer` run (one
 candidate-stacked ``(K, N, ...)`` forward/backward per minibatch), asserts
 the two are bit-identical member for member, and records both timings plus
 the speedup ratio in ``extra_info`` so the pytest-benchmark JSON report
-tracks it across PRs.  Every additional backend available on the host
+tracks it across PRs.  At ``batch_size > 1`` a ``BackpropTrainer`` fit *is*
+the population engine run on one member, so the "sequential" baseline is
+16 K=1 runs of the same engine: the ratio measures what stacking the
+members buys, not a difference between two implementations.  Every additional backend available on the host
 (torch, cupy) gets its own fused timing recorded alongside.
 
 What to expect from the ratio: the fused run shares the per-minibatch mask

@@ -12,20 +12,25 @@ device-sized array program per minibatch — per-candidate optimizer state
 (:mod:`repro.core.optimizer` stacked mode), per-candidate learning
 trajectories, one shared data pass.
 
+The fused epoch is the codebase's one minibatch SGD engine:
+:meth:`BackpropTrainer.fit <repro.core.trainer.BackpropTrainer.fit>` with
+``batch_size > 1`` runs it on a population of one, and its trajectories are
+pinned bit for bit by ``tests/test_batched_training.py``.
+
 Numerical contract (pinned by ``tests/test_population.py``):
 
 * a population of one with ``batch_size=1`` *is* the paper's per-sample SGD
-  — :class:`PopulationTrainer` delegates to
+  — :meth:`PopulationTrainer.fit` delegates to
   :class:`~repro.core.trainer.BackpropTrainer` outright, so the pinned
   NumPy reference trajectory is reproduced bit for bit;
 * with ``batch_size > 1``, member ``k`` of a fused K-member run is
-  bit-identical (on NumPy) to a sequential ``BackpropTrainer.fit`` started
-  from that member's ``(A, B)`` with the same seed — including optimizer
-  moments, learning-rate schedule state, divergence pull-backs, and the
-  gradient-clip arithmetic.  All members share one shuffle stream (common
-  random numbers): every member sees the same sample order each epoch,
-  which is what lets the forward/backward fuse, and is the usual
-  variance-reduction choice when comparing restarts.
+  bit-identical (on NumPy) to ``BackpropTrainer.fit`` — the same engine at
+  K=1 — started from that member's ``(A, B)`` with the same seed: stacking
+  members changes no row's optimizer moments, learning-rate schedule
+  state, divergence pull-backs or gradient-clip arithmetic.  All members
+  share one shuffle stream (common random numbers): every member sees the
+  same sample order each epoch, which is what lets the forward/backward
+  fuse, and is the usual variance-reduction choice when comparing restarts.
 
 Row-wise retirement: members whose ``(A, B)`` stopped moving (or that
 diverge on every sample, epoch after epoch) can drop out of the active
@@ -56,12 +61,12 @@ from repro.core.trainer import (
     EpochStats,
     TrainerConfig,
     TrainingResult,
+    _training_set,
 )
 from repro.readout.softmax import SoftmaxReadout, one_hot
 from repro.representation.dprr import DPRR
 from repro.reservoir.modular import ModularDFR
 from repro.utils.rng import SeedLike, ensure_rng
-from repro.utils.validation import as_batch, ensure_1d_labels
 
 __all__ = [
     "POPULATION_ENV_VAR",
@@ -134,6 +139,30 @@ def draw_starting_points(
     return a0, b0
 
 
+def _start_vectors(init_A, init_B) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-member starting ``(A, B)`` as matching finite ``(K,)`` vectors.
+
+    Scalars or 1-D vectors; a scalar partner broadcasts.
+    """
+    a0 = np.atleast_1d(np.asarray(init_A, dtype=np.float64))
+    b0 = np.atleast_1d(np.asarray(init_B, dtype=np.float64))
+    if a0.ndim != 1 or b0.ndim != 1:
+        raise ValueError(
+            f"init_A and init_B must be scalars or 1-D member vectors, "
+            f"got shapes {a0.shape} and {b0.shape}"
+        )
+    try:
+        a0, b0 = (np.ascontiguousarray(x) for x in np.broadcast_arrays(a0, b0))
+    except ValueError:
+        raise ValueError(
+            f"init_A and init_B must have matching lengths, got "
+            f"{a0.shape[0]} and {b0.shape[0]}"
+        ) from None
+    if not (np.isfinite(a0).all() and np.isfinite(b0).all()):
+        raise ValueError("all initial (A, B) members must be finite")
+    return a0, b0
+
+
 def chunked_population_fit(
     reservoir: ModularDFR,
     n_classes: int,
@@ -153,22 +182,23 @@ def chunked_population_fit(
     """Train ONE logical population in fused chunks of ``block_size``.
 
     Bounds the stacked-trace memory at any population size: each chunk is a
-    separate :meth:`PopulationTrainer.fit` over at most ``block_size``
-    members.  Every chunk re-seeds the same shuffle stream
-    (``shuffle_seed``), so all members see identical sample orders and the
-    outcome does not depend on how the population was chunked (pinned by
-    ``tests/test_population.py``).  Because a chunk is a *slice* of one
-    population, single-member per-sample delegation applies only when the
-    whole population is one member — otherwise a trailing chunk of one
-    would train through different arithmetic than the same member in a
-    wider chunk.
+    separate fused fit over at most ``block_size`` members.  Every chunk
+    re-seeds the same shuffle stream (``shuffle_seed``), so all members see
+    identical sample orders and the outcome does not depend on how the
+    population was chunked (pinned by ``tests/test_population.py``).
+    Because a chunk is a *slice* of one population, only a whole population
+    of one goes through :meth:`PopulationTrainer.fit` and its per-sample
+    delegation; wider populations run every chunk through the fused engine,
+    since a trailing chunk of one at ``batch_size=1`` would otherwise train
+    through different arithmetic than the same member in a wider chunk.
 
     Returns the merged :class:`PopulationResult`; members keep their
     population-wide indices, and chunk widths sum in ``active_per_epoch``.
     """
     if block_size < 1:
         raise ValueError(f"block_size must be >= 1, got {block_size}")
-    k = len(a0)
+    a0, b0 = _start_vectors(a0, b0)
+    k = a0.shape[0]
     members: List[MemberResult] = []
     active_per_epoch: List[int] = []
     elapsed = 0.0
@@ -178,10 +208,10 @@ def chunked_population_fit(
             reservoir, n_classes, dprr=dprr, config=config,
             retire_tol=retire_tol, retire_patience=retire_patience,
             retire_diverged_epochs=retire_diverged_epochs,
-            delegate_single=(k == 1),
             seed=shuffle_seed,
         )
-        chunk = trainer.fit(u, y, a0[lo:hi], b0[lo:hi])
+        run = trainer.fit if k == 1 else trainer._fit_fused
+        chunk = run(u, y, a0[lo:hi], b0[lo:hi])
         for offset, member in enumerate(chunk.members):
             member.index = lo + offset
             members.append(member)
@@ -243,6 +273,7 @@ class PopulationTrainer:
     contract — inputs must be standardized by the caller); :meth:`fit` takes
     per-member initial parameters and trains the whole population through
     the candidate-stacked engine, one fused forward/backward per minibatch.
+    That engine is also ``BackpropTrainer``'s minibatch path (K=1).
 
     Parameters
     ----------
@@ -262,15 +293,6 @@ class PopulationTrainer:
         this many consecutive epochs (it is being pulled back each time and
         still cannot complete a step) retires instead of burning fused
         compute forever.  ``None`` (default) disables it.
-    delegate_single:
-        Whether a population of one at ``batch_size=1`` delegates to the
-        per-sample :class:`~repro.core.trainer.BackpropTrainer` reference
-        (the default, and the ``population=1`` bit-parity contract).  A
-        caller that splits ONE logical population across several ``fit``
-        calls (:meth:`PopulationDescent.descend` chunking) passes ``False``
-        so a trailing chunk of one trains through the same fused arithmetic
-        as every other chunk — otherwise chunking could change a member's
-        trajectory.
     """
 
     def __init__(
@@ -283,7 +305,6 @@ class PopulationTrainer:
         retire_tol: Optional[float] = None,
         retire_patience: int = 2,
         retire_diverged_epochs: Optional[int] = None,
-        delegate_single: bool = True,
         seed: SeedLike = None,
     ):
         if retire_tol is not None and retire_tol < 0:
@@ -304,7 +325,6 @@ class PopulationTrainer:
         self.retire_tol = retire_tol
         self.retire_patience = int(retire_patience)
         self.retire_diverged_epochs = retire_diverged_epochs
-        self.delegate_single = bool(delegate_single)
         self.rng = ensure_rng(seed)
         self.engine = BackpropEngine(
             reservoir.nonlinearity, dprr=self.dprr, window=self.config.window,
@@ -313,15 +333,15 @@ class PopulationTrainer:
         self.backend = self.engine.backend
 
     # ------------------------------------------------------------------ #
-    # fused helpers (stacked twins of BackpropTrainer's private methods)  #
+    # the fused minibatch engine                                          #
     # ------------------------------------------------------------------ #
 
     def _pull_back_row(self, params: Dict[str, np.ndarray], row: int,
                        count: int) -> None:
-        """Row-wise twin of ``BackpropTrainer._pull_back``.
+        """Shrink row ``row``'s A and B by one factor per diverged sample.
 
         Operates on a length-1 view so the in-place multiply and clip use
-        the exact array arithmetic of the scalar trainer.
+        the same array arithmetic as ``BackpropTrainer._pull_back``.
         """
         shrink = self.config.divergence_shrink ** count
         for name in ("A", "B"):
@@ -332,16 +352,14 @@ class PopulationTrainer:
 
     def _apply_update_stacked(self, params, grads, optimizer, lr_r, lr_o,
                               mask: Optional[np.ndarray]) -> None:
-        """Stacked twin of ``BackpropTrainer._apply_update``.
+        """Clip, step and clamp one minibatch update of every row.
 
         Per-candidate clip norms, one stacked optimizer step (rows outside
-        ``mask`` — members whose whole minibatch diverged — are untouched,
-        exactly as the sequential loop's ``continue``), then the parameter
-        box clamp.  ``lr_r``/``lr_o`` are per-candidate ``(K,)`` learning
-        rate vectors from the vectorized schedule lookup; the optimizers
-        broadcast them over each parameter's row tail.  Row ``k`` is
-        bit-identical to the scalar `_apply_update` on that member's
-        gradients.
+        ``mask`` — members whose whole minibatch diverged — are untouched),
+        then the parameter box clamp.  ``lr_r``/``lr_o`` are per-candidate
+        ``(K,)`` learning rate vectors from the vectorized schedule lookup;
+        the optimizers broadcast them over each parameter's row tail.  The
+        row-wise twin of the per-sample ``BackpropTrainer._apply_update``.
         """
         cfg = self.config
         clip_gradients(grads, cfg.grad_clip, stacked=True)
@@ -361,15 +379,15 @@ class PopulationTrainer:
                      optimizer, backward_window, t_len, lr_r, lr_o):
         """One epoch of minibatch SGD for the whole active stack.
 
-        The stacked twin of ``BackpropTrainer._epoch_batched``: every
-        minibatch runs ONE vector-``(A, B)`` forward and one candidate-
-        stacked backward for all active members.  Members with diverged
-        samples in the minibatch leave the fused call and are handled
-        through the per-member path of the sequential trainer (same
-        pull-back, same valid-row sub-batch), slicing the already-computed
-        stacked trace — the stacked forward rows are bit-identical to
-        scalar runs, so the fallback reproduces the sequential arithmetic
-        exactly.
+        Every minibatch runs ONE vector-``(A, B)`` forward and one
+        candidate-stacked backward for all active members, each sharing its
+        ``(A, B)`` snapshot across the minibatch.  Members with diverged
+        samples in the minibatch leave the fused call: each diverged sample
+        pulls the member back once, and the member's gradients are averaged
+        over its non-diverged rows only, sliced from the already-computed
+        stacked trace.  A member whose whole minibatch diverged takes no
+        step.  The stacked forward rows are bit-identical to single-member
+        runs, so a member's trajectory does not depend on the stack width.
         """
         cfg = self.config
         xb = self.backend
@@ -427,8 +445,7 @@ class PopulationTrainer:
                 self._pull_back_row(params, k, count=n_div_k)
                 if n_div_k == sel.shape[0]:
                     # the whole minibatch diverged for this member: no
-                    # update at all this step (the sequential loop's
-                    # ``continue``)
+                    # update at all this step
                     step_mask[k] = False
                     continue
                 valid = np.flatnonzero(~div[k])
@@ -462,31 +479,15 @@ class PopulationTrainer:
     # the public protocol                                                 #
     # ------------------------------------------------------------------ #
 
-    def _delegate_single(self, u, y, a0: float, b0: float,
-                         start: float) -> PopulationResult:
-        """Population of one at ``batch_size=1``: the paper's reference.
-
-        Runs :class:`~repro.core.trainer.BackpropTrainer` outright (same
-        rng object, same config with the member's initialization), so the
-        per-sample SGD trajectory is the pinned seed protocol bit for bit.
-        Retirement does not apply to the delegated reference run.
-        """
-        trainer = BackpropTrainer(
-            self.reservoir, self.n_classes, dprr=self.dprr,
-            config=replace(self.config, init_A=float(a0), init_B=float(b0)),
-            seed=self.rng,
-        )
-        result = trainer.fit(u, y)
-        return PopulationResult(
-            members=[MemberResult(index=0, init_A=float(a0),
-                                  init_B=float(b0), result=result)],
-            active_per_epoch=[1] * len(result.history),
-            elapsed_seconds=time.perf_counter() - start,
-        )
-
     def fit(self, u: np.ndarray, y: np.ndarray,
             init_A=None, init_B=None) -> PopulationResult:
         """Descend every member of the population on a training set.
+
+        A population of one at ``batch_size=1`` is the paper's reference:
+        it runs :class:`~repro.core.trainer.BackpropTrainer` outright (same
+        rng object, the member's initialization), so the per-sample SGD
+        trajectory is the pinned seed protocol bit for bit; retirement does
+        not apply to it.  Every other run is one fused fit.
 
         Parameters
         ----------
@@ -502,36 +503,37 @@ class PopulationTrainer:
             paper's initialization.
         """
         start = time.perf_counter()
-        u = as_batch(u)
-        y = ensure_1d_labels(y, n_samples=u.shape[0])
-        if y.size and y.max() >= self.n_classes:
-            raise ValueError(
-                f"label {y.max()} out of range for {self.n_classes} classes"
-            )
         cfg = self.config
-        a0 = np.atleast_1d(np.asarray(
-            cfg.init_A if init_A is None else init_A, dtype=np.float64))
-        b0 = np.atleast_1d(np.asarray(
-            cfg.init_B if init_B is None else init_B, dtype=np.float64))
-        if a0.ndim != 1 or b0.ndim != 1:
-            raise ValueError(
-                f"init_A and init_B must be scalars or 1-D member vectors, "
-                f"got shapes {a0.shape} and {b0.shape}"
-            )
-        try:
-            a0, b0 = (np.ascontiguousarray(x)
-                      for x in np.broadcast_arrays(a0, b0))
-        except ValueError:
-            raise ValueError(
-                f"init_A and init_B must have matching lengths, got "
-                f"{a0.shape[0]} and {b0.shape[0]}"
-            ) from None
-        if not (np.isfinite(a0).all() and np.isfinite(b0).all()):
-            raise ValueError("all initial (A, B) members must be finite")
-        k_total = a0.shape[0]
+        a0, b0 = _start_vectors(cfg.init_A if init_A is None else init_A,
+                                cfg.init_B if init_B is None else init_B)
+        if a0.shape[0] > 1 or cfg.batch_size > 1:
+            return self._fit_fused(u, y, a0, b0)
+        result = BackpropTrainer(
+            self.reservoir, self.n_classes, dprr=self.dprr,
+            config=replace(cfg, init_A=float(a0[0]), init_B=float(b0[0])),
+            seed=self.rng,
+        ).fit(u, y)
+        return PopulationResult(
+            members=[MemberResult(index=0, init_A=float(a0[0]),
+                                  init_B=float(b0[0]), result=result)],
+            active_per_epoch=[1] * len(result.history),
+            elapsed_seconds=time.perf_counter() - start,
+        )
 
-        if k_total == 1 and cfg.batch_size == 1 and self.delegate_single:
-            return self._delegate_single(u, y, a0[0], b0[0], start)
+    def _fit_fused(self, u, y, a0: np.ndarray,
+                   b0: np.ndarray) -> PopulationResult:
+        """Train members ``a0``/``b0`` (finite ``(K,)`` vectors) fused.
+
+        The one minibatch engine, for every ``batch_size`` (including 1)
+        and every K (including 1): :meth:`fit` routes here,
+        ``BackpropTrainer.fit`` calls it at ``batch_size > 1`` with K=1, and
+        :func:`chunked_population_fit` calls it for each chunk of a wider
+        population.
+        """
+        start = time.perf_counter()
+        u, y = _training_set(u, y, self.n_classes)
+        cfg = self.config
+        k_total = a0.shape[0]
 
         targets = one_hot(y, self.n_classes)
         n_samples, t_len, _ = u.shape
@@ -551,8 +553,7 @@ class PopulationTrainer:
             "W": np.zeros((k_total, self.n_classes, n_feats)),
             "b": np.zeros((k_total, self.n_classes)),
         }
-        window = self.engine.effective_window(t_len)
-        backward_window = t_len if cfg.window is None else window
+        backward_window = self.engine.effective_window(t_len)
 
         alive = np.arange(k_total)                  # original member indices
         histories: List[List[EpochStats]] = [[] for _ in range(k_total)]

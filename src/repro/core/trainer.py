@@ -7,7 +7,9 @@ The training protocol reproduced here is exactly the paper's:
 * per-sample stochastic gradient descent for 25 epochs
   (``batch_size=1``; larger minibatches vectorize the identical gradients
   over samples and average them, trading the paper's update granularity for
-  throughput);
+  throughput — that minibatch engine is
+  :class:`~repro.core.population.PopulationTrainer`'s fused epoch, run here
+  on a population of one);
 * learning rates start at 1; the reservoir rate decays x0.1 at epochs
   5/10/15/20, the output rate at 10/15/20;
 * backpropagation truncated to the final reservoir state (``window=1``),
@@ -22,7 +24,7 @@ counted rather than allowed to poison the parameters.
 
 from __future__ import annotations
 
-import functools
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -30,7 +32,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.backend import resolve_backend
-from repro.core.backprop import BackpropEngine, window_backward
+from repro.core.backprop import window_backward
 from repro.core.optimizer import StepSchedule, clip_global_norm, get_optimizer
 from repro.readout.softmax import SoftmaxReadout, one_hot, sample_output_grads
 from repro.representation.dprr import DPRR, dprr_contract
@@ -47,9 +49,10 @@ class TrainerConfig:
 
     epochs: int = 25
     #: samples per SGD update; 1 = the paper's per-sample protocol (kept
-    #: numerically identical to the original loop), > 1 runs the batched
-    #: engine: one vectorized forward/backward per minibatch, gradients
-    #: averaged over the batch's non-diverged rows
+    #: numerically identical to the original loop), > 1 runs the minibatch
+    #: engine (the population engine on one member): one vectorized
+    #: forward/backward per minibatch, gradients averaged over the batch's
+    #: non-diverged rows
     batch_size: int = 1
     lr_reservoir: float = 1.0
     lr_output: float = 1.0
@@ -63,7 +66,8 @@ class TrainerConfig:
     #: global L2 gradient-norm clip (None disables); implementation guard
     grad_clip: Optional[float] = 10.0
     #: separate magnitude clip for the scalar dA/dB gradients, so one noisy
-    #: sample cannot jump the reservoir into the unstable region
+    #: sample cannot jump the reservoir into the unstable region (None
+    #: disables; otherwise it must be positive)
     reservoir_grad_clip: Optional[float] = 1.0
     #: clamp box for A and B after each update; the default upper bound is
     #: the top of the paper's own grid-search range (10^-0.25 ~ 0.562),
@@ -75,19 +79,24 @@ class TrainerConfig:
     divergence_shrink: float = 0.7
     shuffle: bool = True
     optimizer: str = "sgd"
-    #: array backend for the *batched* engine (``batch_size > 1``): a name
+    #: array backend for the minibatch engine (``batch_size > 1``): a name
     #: such as "numpy" / "torch" / "torch:cuda:0" / "cupy", or None to
     #: defer to the ``REPRO_BACKEND`` environment variable (NumPy when
     #: unset).  The ``batch_size=1`` per-sample path is the paper's pinned
     #: NumPy reference and ignores this knob.
     backend: Optional[str] = None
-    #: working float precision of the batched engine: None defers to the
+    #: working float precision of the minibatch engine: None defers to the
     #: spec's ``@dtype`` suffix / ``REPRO_DTYPE`` (float64 when unset);
     #: "float32" opts into single precision (rtol-bounded, see
     #: docs/ARCHITECTURE.md).  The per-sample path stays float64.
     dtype: Optional[str] = None
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size"):
+            value = getattr(self, name)
+            if (isinstance(value, bool)
+                    or not isinstance(value, numbers.Integral)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.dtype not in (None, "float64", "float32"):
@@ -105,6 +114,13 @@ class TrainerConfig:
                 and self.grad_clip <= 0):
             raise ValueError(
                 f"grad_clip must be None or positive, got {self.grad_clip}"
+            )
+        # ``not > 0`` also rejects NaN
+        if (self.reservoir_grad_clip is not None
+                and not self.reservoir_grad_clip > 0):
+            raise ValueError(
+                f"reservoir_grad_clip must be None or positive, "
+                f"got {self.reservoir_grad_clip}"
             )
         if not 0.0 < self.divergence_shrink < 1.0:
             raise ValueError(
@@ -139,6 +155,17 @@ class TrainingResult:
     @property
     def final_loss(self) -> float:
         return self.history[-1].mean_loss if self.history else float("nan")
+
+
+def _training_set(u, y, n_classes: int):
+    """Validated ``(u, y)`` of a fit: a ``(N, T, C)`` batch and its labels."""
+    u = as_batch(u)
+    y = ensure_1d_labels(y, n_samples=u.shape[0])
+    if y.size and y.max() >= n_classes:
+        raise ValueError(
+            f"label {y.max()} out of range for {n_classes} classes"
+        )
+    return u, y
 
 
 class _SampleScratch:
@@ -189,31 +216,24 @@ class BackpropTrainer:
         self.dprr = dprr if dprr is not None else DPRR()
         self.config = config if config is not None else TrainerConfig()
         self.rng = ensure_rng(seed)
-        self.engine = BackpropEngine(
-            reservoir.nonlinearity, dprr=self.dprr, window=self.config.window,
-            backend=self.config.backend, dtype=self.config.dtype,
-        )
-        #: backend executing the batched forward/backward (the per-sample
-        #: path always runs the NumPy reference)
-        self.backend = self.engine.backend
+        #: the per-sample step always runs the NumPy reference
         self._numpy = resolve_backend(None)
 
-    def _pull_back(self, params, count: int = 1) -> None:
-        """Shrink A and B after divergent forward passes (recovery guard).
-
-        ``count`` divergent samples apply the shrink ``count`` times, exactly
-        as the per-sample loop would have done one sample at a time.
-        """
-        shrink = self.config.divergence_shrink ** count
-        params["A"] *= shrink
-        params["B"] *= shrink
+    def _pull_back(self, params) -> None:
+        """Shrink A and B after a divergent forward pass (recovery guard)."""
+        params["A"] *= self.config.divergence_shrink
+        params["B"] *= self.config.divergence_shrink
         np.clip(params["A"], self.config.param_min, self.config.param_max,
                 out=params["A"])
         np.clip(params["B"], self.config.param_min, self.config.param_max,
                 out=params["B"])
 
     def _apply_update(self, params, grads, optimizer, lrs) -> None:
-        """Clip, step and clamp — shared by both execution paths."""
+        """Clip, step and clamp one per-sample update.
+
+        The minibatch engine's
+        ``PopulationTrainer._apply_update_stacked`` is the row-wise twin.
+        """
         cfg = self.config
         clip_global_norm(grads.values(), cfg.grad_clip)
         # ndarray.clip is the ufunc np.clip dispatches to, without the
@@ -230,6 +250,11 @@ class BackpropTrainer:
     def fit(self, u: np.ndarray, y: np.ndarray) -> TrainingResult:
         """Run the full SGD protocol on a training set.
 
+        ``batch_size > 1`` runs the minibatch engine,
+        :class:`~repro.core.population.PopulationTrainer`'s fused epoch, on
+        one member started at ``(init_A, init_B)`` and shuffled by this
+        trainer's rng; ``batch_size=1`` runs the per-sample step below.
+
         Parameters
         ----------
         u:
@@ -238,14 +263,21 @@ class BackpropTrainer:
         y:
             Integer labels ``(N,)``.
         """
-        start = time.perf_counter()
-        u = as_batch(u)
-        y = ensure_1d_labels(y, n_samples=u.shape[0])
-        if y.size and y.max() >= self.n_classes:
-            raise ValueError(
-                f"label {y.max()} out of range for {self.n_classes} classes"
-            )
         cfg = self.config
+        if cfg.batch_size > 1:
+            # population.py imports this module
+            from repro.core.population import PopulationTrainer
+
+            population = PopulationTrainer(
+                self.reservoir, self.n_classes, dprr=self.dprr, config=cfg,
+                seed=self.rng,
+            )
+            return population._fit_fused(
+                u, y, np.array([float(cfg.init_A)]),
+                np.array([float(cfg.init_B)]),
+            ).members[0].result
+        start = time.perf_counter()
+        u, y = _training_set(u, y, self.n_classes)
         targets = one_hot(y, self.n_classes)
         n_samples, t_len, _ = u.shape
 
@@ -264,20 +296,9 @@ class BackpropTrainer:
             "W": readout.weights,
             "b": readout.bias,
         }
-        window = self.engine.effective_window(t_len)
-        use_full_trace = cfg.window is None
-
-        backward_window = t_len if use_full_trace else window
-        if cfg.batch_size == 1:
-            run_epoch = functools.partial(
-                self._epoch_per_sample,
-                scratch=_SampleScratch(self.reservoir.n_nodes, t_len,
-                                       backward_window,
-                                       self.dprr.scale(t_len)))
-        else:
-            run_epoch = functools.partial(
-                self._epoch_batched, backward_window=backward_window,
-                t_len=t_len)
+        backward_window = min(cfg.window or t_len, t_len)
+        scratch = _SampleScratch(self.reservoir.n_nodes, t_len,
+                                 backward_window, self.dprr.scale(t_len))
 
         history: List[EpochStats] = []
         for epoch in range(1, cfg.epochs + 1):
@@ -287,8 +308,9 @@ class BackpropTrainer:
                 n_samples
             )
             lrs = {"A": lr_r, "B": lr_r, "W": lr_o, "b": lr_o}
-            losses, n_correct, n_skipped = run_epoch(
+            losses, n_correct, n_skipped = self._epoch_per_sample(
                 u, y, targets, order, params, readout, optimizer, lrs,
+                scratch=scratch,
             )
             n_seen = len(losses)
             history.append(
@@ -366,75 +388,6 @@ class BackpropTrainer:
                 "B": np.array(d_b),
                 "W": out.d_weights,
                 "b": out.d_bias,
-            }
-            self._apply_update(params, grads, optimizer, lrs)
-        return losses, n_correct, n_skipped
-
-    def _epoch_batched(self, u, y, targets, order, params, readout,
-                       optimizer, lrs, *, backward_window, t_len):
-        """One epoch of minibatch SGD through the vectorized engine.
-
-        Every minibatch shares one ``(A, B)`` snapshot for its forward and
-        backward pass; gradients are averaged over the batch's non-diverged
-        rows, and each diverged row triggers the same pull-back the
-        per-sample loop would have applied for that sample.
-
-        Forward states, DPRR features and the backward pass all run on the
-        trainer's array backend (``TrainerConfig.backend``); the engine
-        hands back NumPy gradients, so the update step below is
-        backend-agnostic.
-        """
-        batch_size = self.config.batch_size
-        xb = self.backend
-        losses = []
-        n_correct = 0
-        n_skipped = 0
-        for start in range(0, order.shape[0], batch_size):
-            sel = order[start: start + batch_size]
-            a_val = float(params["A"])
-            b_val = float(params["B"])
-            trace = self.reservoir.run(u[sel], a_val, b_val, backend=xb)
-            diverged = trace.diverged
-            n_div = int(diverged.sum())
-            win = trace.final_window(backward_window, copy=False)
-            if n_div:
-                n_skipped += n_div
-                self._pull_back(params, count=n_div)
-                if n_div == sel.shape[0]:
-                    continue
-                # drop the diverged rows (this copies; the common all-valid
-                # case below stays on the no-copy views)
-                valid = np.flatnonzero(~diverged)
-                kept = sel[~diverged]
-                feats = self.dprr.features(
-                    xb.take(trace.states, valid, axis=0), backend=xb
-                )
-                window_states = xb.take(win.window_states, valid, axis=0)
-                window_pre = xb.take(win.window_pre_activations, valid, axis=0)
-            else:
-                kept = sel
-                feats = self.dprr.features(trace, backend=xb)
-                window_states = win.window_states
-                window_pre = win.window_pre_activations
-            grads_out = self.engine.batch_gradients(
-                window_states,
-                window_pre,
-                feats,
-                readout,
-                targets[kept],
-                a_val,
-                b_val,
-                n_steps=t_len,
-            )
-            losses.extend(grads_out.losses.tolist())
-            n_correct += int(
-                np.count_nonzero(grads_out.probs.argmax(axis=1) == y[kept])
-            )
-            grads = {
-                "A": np.array(grads_out.d_A.mean()),
-                "B": np.array(grads_out.d_B.mean()),
-                "W": grads_out.d_weights,
-                "b": grads_out.d_bias,
             }
             self._apply_update(params, grads, optimizer, lrs)
         return losses, n_correct, n_skipped

@@ -1,11 +1,13 @@
 """Batched training engine: equivalence with the per-sample seed path.
 
-Three layers of pins:
+Four layers of pins:
 
 * the ``batch_size=1`` trainer must reproduce the original per-sample SGD
   loop **bit-for-bit** (the expected trajectory below was generated by the
   seed implementation and is hard-coded, so any numerical drift in the
   refactored loop fails loudly);
+* ``batch_size > 1`` trajectories are pinned bit for bit too, as the
+  reference for the one minibatch engine;
 * ``BackpropEngine.batch_gradients`` must match ``sample_gradients`` row by
   row and the literal-equation ``naive_full_backward`` oracle;
 * minibatch mechanics: gradient averaging, row-wise divergence handling,
@@ -359,6 +361,106 @@ class TestBatchedTrainer:
     def test_batch_size_validation(self):
         with pytest.raises(ValueError, match="batch_size"):
             TrainerConfig(batch_size=0)
+
+
+class TestBatchedTrajectoryPin:
+    """``batch_size > 1`` trajectories, pinned bit for bit.
+
+    The reference for the minibatch engine (``PopulationTrainer``'s fused
+    epoch, which ``BackpropTrainer`` runs at K=1): the values were recorded
+    from an independent single-member minibatch loop.  ``backend="numpy"``
+    and ``dtype="float64"`` are explicit so that a
+    ``REPRO_BACKEND``/``REPRO_DTYPE`` leg cannot change the arithmetic.
+    """
+
+    #: name -> (nonlinearity, row of u scaled by 1e150 or None,
+    #:          TrainerConfig kwargs,
+    #:          [(mean_loss, accuracy, A, B, n_skipped) per epoch],
+    #:          sum |W| after the fit); full float repr
+    BATCHED_PINS = {
+        "sgd_bs4": (None, None, dict(epochs=3, batch_size=4), [
+            (36.3062855426361, 0.17777777777777778, 1e-06, 1e-06, 0),
+            (31.468652840316725, 0.4444444444444444,
+             0.5623413251903491, 0.5623367886171339, 0),
+            (64.45116828233049, 0.24444444444444444, 1e-06, 1e-06, 0),
+        ], 200.59334569575188),
+        "momentum_bs8": (None, None, dict(epochs=3, batch_size=8,
+                                          optimizer="momentum"), [
+            (1.1410094951154546, 0.24444444444444444,
+             0.33922396551214656, 1e-06, 0),
+            (64.02541620161706, 0.4444444444444444,
+             0.5623413251903491, 0.07412632142579254, 0),
+            (225.79390499123915, 0.4, 1e-06, 1e-06, 0),
+        ], 456.3373375058449),
+        "adam_bs8": (None, None, dict(epochs=3, batch_size=8,
+                                      optimizer="adam"), [
+            (203.4287837192172, 0.3333333333333333,
+             0.0073997358034949, 0.44365720582935486, 0),
+            (1.3364911158783166, 0.28888888888888886,
+             1e-06, 0.033316269756870784, 0),
+            (1.1823829812597242, 0.37777777777777777, 1e-06, 1e-06, 0),
+        ], 620.6410067252987),
+        "full_bptt_bs8": (None, None, dict(epochs=3, batch_size=8,
+                                           window=None), [
+            (1.3677789493875578, 0.26666666666666666, 1e-06, 1e-06, 0),
+            (9.938183454972728, 0.35555555555555557,
+             0.15689242052626418, 2.342562100963327e-06, 0),
+            (32.133081702629795, 0.3333333333333333, 1e-06, 1e-06, 0),
+        ], 80.82062066908419),
+        "tanh_window2_bs4": ("tanh", None, dict(epochs=3, batch_size=4,
+                                                window=2), [
+            (1.1538037843729125, 0.2,
+             0.3777095742362146, 0.0018372034245461588, 0),
+            (4.59959393021573, 0.2, 0.5623413251903491, 1e-06, 0),
+            (29.58002377237949, 0.28888888888888886,
+             1e-06, 0.5623283243830871, 0),
+        ], 159.1547776748386),
+        "full_batch_bs45": (None, None, dict(epochs=3, batch_size=45), [
+            (1.0986122886681096, 0.3333333333333333, 0.01, 0.01, 0),
+            (1.0983445556814935, 0.4666666666666667,
+             0.014830278962652713, 0.010029074181810479, 0),
+            (1.0977246648146313, 0.4666666666666667,
+             0.024791042274834762, 0.010117321110694301, 0),
+        ], 0.5866112609758195),
+        # starts in the unstable corner: one whole minibatch diverges, is
+        # pulled back eight times and takes no step
+        "diverges_bs8": (None, None, dict(epochs=2, batch_size=8,
+                                          init_A=3.0, init_B=3.0,
+                                          param_max=4.0), [
+            (64.15825072349783, 0.2972972972972973, 1e-06, 1e-06, 8),
+            (128.74473534831478, 0.2222222222222222,
+             0.3712098014376401, 1e-06, 0),
+        ], 114.92846683950306),
+        # one poisoned sample diverges inside an otherwise clean minibatch:
+        # the other seven rows still step
+        "poisoned_row_bs8": (None, 3, dict(epochs=3, batch_size=8,
+                                           init_A=0.3, init_B=0.3), [
+            (21.040642202269968, 0.4090909090909091, 1e-06, 1e-06, 1),
+            (89.25204664363133, 0.29545454545454547,
+             0.5623413251903491, 0.5623413251903491, 1),
+            (124.52172106034558, 0.25,
+             0.5623413251903491, 1.1941272767070906e-06, 1),
+        ], 169.17941512181994),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BATCHED_PINS))
+    def test_batched_trajectories_identical(self, toy, name):
+        nonlinearity, poison_row, kwargs, history, abs_weight_sum = \
+            self.BATCHED_PINS[name]
+        data, u_train = toy
+        if poison_row is not None:
+            u_train = u_train.copy()
+            u_train[poison_row] *= 1e150
+        trainer = BackpropTrainer(
+            ModularDFR(InputMask.binary(8, 2, seed=0),
+                       nonlinearity=nonlinearity),
+            n_classes=3, seed=0,
+            config=TrainerConfig(backend="numpy", dtype="float64", **kwargs))
+        result = trainer.fit(u_train, data.y_train)
+        got = [(h.mean_loss, h.accuracy, h.A, h.B, h.n_skipped)
+               for h in result.history]
+        assert got == history
+        assert float(np.abs(result.readout.weights).sum()) == abs_weight_sum
 
 
 class TestFinalWindowViews:

@@ -130,6 +130,35 @@ class TestGuards:
         with pytest.raises(ValueError):
             TrainerConfig(divergence_shrink=1.5)
 
+    @pytest.mark.parametrize("clip", [-1.0, 0.0, float("nan")])
+    def test_reservoir_grad_clip_must_be_positive(self, clip):
+        # a negative bound would clip every dA/dB to exactly that bound
+        with pytest.raises(ValueError, match="reservoir_grad_clip"):
+            TrainerConfig(reservoir_grad_clip=clip)
+
+    @pytest.mark.parametrize("clip", [None, float("inf")])
+    def test_reservoir_grad_clip_none_or_inf_accepted(self, clip):
+        cfg = TrainerConfig(reservoir_grad_clip=clip)
+        assert cfg.reservoir_grad_clip is clip
+
+    @pytest.mark.parametrize("name", ["epochs", "batch_size"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, "3", True])
+    def test_counts_must_be_integers(self, name, value):
+        # a fractional count would only fail later, inside range()
+        with pytest.raises(ValueError, match=name):
+            TrainerConfig(**{name: value})
+
+    def test_numpy_integer_counts_accepted(self, toy):
+        data, u_train, _ = toy
+        result = _trainer(epochs=np.int64(2), batch_size=np.int32(8)).fit(
+            u_train, data.y_train)
+        assert len(result.history) == 2
+
+    def test_label_out_of_range_rejected_batched(self, toy):
+        data, u_train, _ = toy
+        with pytest.raises(ValueError, match="out of range"):
+            _trainer(batch_size=4).fit(u_train, data.y_train + 10)
+
     def test_label_out_of_range_rejected(self, toy):
         data, u_train, _ = toy
         trainer = _trainer()
